@@ -176,11 +176,7 @@ def check_at_axioms(atlas: Atlas) -> dict:
     Failures are reported, never raised.
     """
     charts = atlas.charts
-    uncovered = [
-        x
-        for x in sorted(carrier(atlas))
-        if not any(x in rel.domain for rel in charts.values())
-    ]
+    uncovered = sorted(carrier(atlas).difference(*(rel.domain for rel in charts.values())))
 
     chart_violations = [
         {"index": v.index, "predicate": v.predicate, "pair": list(v.pair)}

@@ -96,8 +96,8 @@ def _cmd_solve(args):
             atlas = solve_atlas(system)
         else:
             atlas = solve_via_fixed_index(system, args.gamma)
-    except PreconditionViolated:
-        _emit(_violations_payload(check_sincov(system)), args.pretty)
+    except PreconditionViolated as exc:
+        _emit(_violations_payload(exc.reports), args.pretty)
         return 1
     except EqualityCaseViolated as exc:
         _emit({"error": "equality-case-violated", "witness": list(exc.witness)}, args.pretty)

@@ -22,15 +22,18 @@ class UnknownIndex(SincovError):
 class PreconditionViolated(SincovError):
     """A solver was handed a system that breaks the transition-relation laws.
 
-    Carries the first violation report (in canonical order) as ``report``.
+    Built from the violation reports in canonical order: ``reports`` holds
+    them all, ``report`` the first, which the message names.
     """
 
-    def __init__(self, report):
+    def __init__(self, reports):
+        report = reports[0]
         super().__init__(
             f"system violates {report.law.value} at indices {report.indices} "
             f"with pair {report.pair}"
         )
         self.report = report
+        self.reports = list(reports)
 
 
 class InvalidAtlas(SincovError):

@@ -1,9 +1,10 @@
 """JSON wire formats and canonical serialization.
 
 All documents use plain strings for identifiers.  Canonical output sorts
-object keys, emits arrays in lexicographic order of their serialized
-entries, and uses compact separators, so identical values serialize to
-identical bytes.
+object keys, emits identifier arrays in Python string order and pair
+arrays in ``(first, second)`` tuple order (so ``["a","b"]`` precedes
+``["a!","b"]``, although its serialization sorts after), and uses compact
+separators, so identical values serialize to identical bytes.
 
 Formats:
 

@@ -8,12 +8,12 @@ under test are the Sincov-type inequalities
     symmetry:      Phi[a,b]^-1          is contained in  Phi[b,a]
     identity:      Phi[a,a]             is contained in  the identity
 
-``check_sincov`` reports every failing containment with a witness pair.
-``solve_atlas`` produces, for a law-abiding system, a generating atlas of
-partial bijections with Phi[a,b] == chart_a o chart_b^-1 exactly, via a
-union-find quotient of the trajectory nodes (index, element).
-``reconstruct`` is the inverse direction, and ``solve_via_fixed_index``
-handles the classical group case where all containments are equalities.
+A system obeys them iff an atlas of partial bijections generates it.
+``_quotient`` is the one mechanism behind that: the union-find classes of
+the nodes (index, element) plus a certificate that they generate the
+system.  ``check_sincov``, ``solve_atlas`` (one carrier point per class)
+and ``solve_via_fixed_index`` (the group case, where all containments are
+equalities) all rest on it; ``reconstruct`` is the inverse direction.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .atlas import Atlas, validate_atlas
+from .atlas import Atlas, _raise_invalid, validate_atlas
 from .errors import (
     EqualityCaseViolated,
-    InvalidAtlas,
     PreconditionViolated,
     UnknownIndex,
 )
@@ -87,13 +86,49 @@ class SincovSystem:
         return f"SincovSystem(indices={sorted(self.indices)}, relations={self.relations!r})"
 
 
+def _quotient(system: SincovSystem):
+    """Union-find classes of the nodes (index, element), and the laws' verdict.
+
+    A pair (b, a) in Phi[alpha, beta] is the ordered node pair ((alpha, a),
+    (beta, b)) inside one class, so P <= sum |C|^2, with equality iff every
+    class's full square is present.  The system is lawful iff that holds and
+    no class has two nodes at one index (the identity law).
+    """
+    parent = {}
+
+    def find(node):
+        parent.setdefault(node, node)
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]  # path halving
+            node = parent[node]
+        return node
+
+    for (alpha, beta), rel in system.relations.items():
+        for b, a in rel.pairs:
+            parent[find((alpha, a))] = find((beta, b))
+
+    classes = {}
+    for node in parent:
+        classes.setdefault(find(node), []).append(node)
+    classes = list(classes.values())
+    pair_count = sum(len(rel.pairs) for rel in system.relations.values())
+    lawful = sum(len(c) ** 2 for c in classes) == pair_count and all(
+        len({index for index, _ in c}) == len(c) for c in classes
+    )
+    return classes, lawful
+
+
 def check_sincov(system: SincovSystem, laws=None) -> list:
     """All law violations, one report per (law, indices, witness pair).
 
-    The list is sorted by the reports' canonical serialization, so the
-    result is deterministic no matter how the triple loop is scheduled.
-    An empty list means the system solves the inequalities.
+    A system that ``_quotient`` certifies lawful has none under any
+    ``laws``; only unlawful input runs the definitional loops that list
+    them.  The list is sorted by the reports' canonical serialization, so
+    it is deterministic.  An empty list means the system solves the
+    inequalities.
     """
+    if _quotient(system)[1]:
+        return []
     selected = set(ALL_LAWS if laws is None else laws)
     reports = []
     indices = sorted(system.indices)
@@ -128,67 +163,25 @@ def check_sincov(system: SincovSystem, laws=None) -> list:
     return reports
 
 
-class _UnionFind:
-    """Disjoint sets over hashable items: path compression, union by rank."""
-
-    def __init__(self):
-        self.parent = {}
-        self.rank = {}
-
-    def add(self, item):
-        if item not in self.parent:
-            self.parent[item] = item
-            self.rank[item] = 0
-
-    def find(self, item):
-        root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:
-            self.parent[item], item = root, self.parent[item]
-        return root
-
-    def union(self, x, y):
-        self.add(x)
-        self.add(y)
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-        elif self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
-        self.parent[ry] = rx
-
-
 def solve_atlas(system: SincovSystem) -> Atlas:
     """A generating atlas for a system that passes ``check_sincov``.
 
-    Every pair (b, a) in Phi[alpha, beta] links the nodes (beta, b) and
-    (alpha, a); because the laws make this linkage transitive and
-    symmetric, its connected components are already its equivalence
-    classes.  Each class becomes one carrier point, named after its least
-    node ("cls:<index>:<element>") so that outputs are reproducible; chart
-    alpha collects (class, element) for every node (alpha, element).
+    Each class of ``_quotient`` becomes one carrier point, named after its
+    least node ("cls:<index>:<element>") so that outputs are reproducible;
+    chart alpha collects (class, element) for every node (alpha, element).
+    The certificate guarantees these charts are partial bijections that
+    generate the system exactly.
 
-    Raises PreconditionViolated (carrying the first violation report) when
-    the laws fail, since then the charts need not be partial bijections.
+    Raises PreconditionViolated (carrying the ``check_sincov`` reports)
+    when the laws fail, since then the charts need not be partial
+    bijections.
     """
-    reports = check_sincov(system)
-    if reports:
-        raise PreconditionViolated(reports[0])
-
-    uf = _UnionFind()
-    for (alpha, beta), rel in system.relations.items():
-        for b, a in rel.pairs:
-            uf.union((alpha, a), (beta, b))
-
-    classes = {}
-    for node in uf.parent:
-        classes.setdefault(uf.find(node), []).append(node)
+    classes, lawful = _quotient(system)
+    if not lawful:
+        raise PreconditionViolated(check_sincov(system))
 
     charts = {index: set() for index in system.indices}
-    for members in classes.values():
+    for members in classes:
         least = min(members)
         class_id = f"cls:{least[0]}:{least[1]}"
         for index, element in members:
@@ -206,8 +199,7 @@ def reconstruct(atlas: Atlas) -> SincovSystem:
     """
     violations = validate_atlas(atlas)
     if violations:
-        first = violations[0]
-        raise InvalidAtlas(first.index, first.predicate, first.pair)
+        _raise_invalid(violations)
 
     relations = {}
     for alpha, chart_a in atlas.charts.items():
@@ -226,6 +218,12 @@ def solve_via_fixed_index(system: SincovSystem, gamma) -> Atlas:
     directions being checked).  Under that hypothesis chart_alpha =
     Phi[alpha, gamma] reconstructs the system exactly.
 
+    On a lawful system Phi[a,b] o Phi[b,c] is strictly below Phi[a,c] iff
+    some ``_quotient`` class meets a and c but misses b, so equality holds
+    iff every class meets every index.  The first strict triple in index
+    order is then (a, b, a): a is the least index of any class missing an
+    index, and b the least index missed by a class containing a.
+
     Raises UnknownIndex for a gamma outside the system,
     PreconditionViolated when the containments themselves fail, and
     EqualityCaseViolated with the first strict triple otherwise.
@@ -234,16 +232,14 @@ def solve_via_fixed_index(system: SincovSystem, gamma) -> Atlas:
     if gamma not in system.indices:
         raise UnknownIndex(gamma)
 
-    reports = check_sincov(system)
-    if reports:
-        raise PreconditionViolated(reports[0])
+    classes, lawful = _quotient(system)
+    if not lawful:
+        raise PreconditionViolated(check_sincov(system))
 
-    indices = sorted(system.indices)
-    for alpha in indices:
-        for beta in indices:
-            for third in indices:
-                composed = system.get(alpha, beta).compose(system.get(beta, third))
-                if composed != system.get(alpha, third):
-                    raise EqualityCaseViolated((alpha, beta, third))
+    partial = [{index for index, _ in c} for c in classes if len(c) < len(system.indices)]
+    if partial:
+        alpha = min(min(met) for met in partial)
+        beta = min(min(system.indices - met) for met in partial if alpha in met)
+        raise EqualityCaseViolated((alpha, beta, alpha))
 
     return Atlas({alpha: system.get(alpha, gamma) for alpha in system.indices})

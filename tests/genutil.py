@@ -4,7 +4,8 @@ Two flavors live here side by side: `random.Random`-driven generators for
 the big seeded acceptance loops, and hypothesis strategies for the law
 tests.  Valid systems are always produced by reconstructing a random
 atlas (optionally thinned), which is the one construction guaranteed to
-satisfy all three laws.
+satisfy all three laws.  The definitional loops live here too, as the
+oracles that the library's quotient certificate is checked against.
 """
 
 from __future__ import annotations
@@ -13,7 +14,15 @@ import random
 
 from hypothesis import strategies as st
 
-from sincov import Atlas, Relation, SincovSystem, reconstruct
+from sincov import (
+    ALL_LAWS,
+    Atlas,
+    Law,
+    Relation,
+    SincovSystem,
+    ViolationReport,
+    reconstruct,
+)
 
 INDEX_POOL = ["a", "b", "c", "d", "e", "f"]
 ELEMENT_POOL = [str(i) for i in range(12)]
@@ -156,3 +165,75 @@ def atlases_st(draw):
 
 
 valid_systems_st = atlases_st().map(reconstruct)
+
+
+@st.composite
+def mutated_systems_st(draw):
+    """A valid system with one pair dropped or one pair added; mostly
+    unlawful, sometimes (a redundant addition, a lone loop dropped) not."""
+    system = draw(valid_systems_st)
+    relations = dict(system.relations)
+    pairs = sorted((key, pair) for key, rel in relations.items() for pair in rel.pairs)
+    if pairs and draw(st.booleans()):
+        key, pair = draw(st.sampled_from(pairs))
+        relations[key] = Relation(relations[key].pairs - {pair})
+    else:
+        index = st.sampled_from(sorted(system.indices))
+        element = st.sampled_from(ELEMENT_POOL)
+        key = draw(st.tuples(index, index))
+        pair = draw(st.tuples(element, element))
+        relations[key] = Relation(system.get(*key).pairs | {pair})
+    return SincovSystem(system.indices, relations)
+
+
+# ------------------------------------------------------------------ oracles
+
+
+def oracle_violations(system: SincovSystem, laws=None) -> list:
+    """Every failing containment, found by the definitional loops over all
+    index pairs and triples, in canonical report order."""
+    selected = set(ALL_LAWS if laws is None else laws)
+    reports = []
+    indices = sorted(system.indices)
+
+    if Law.IDENTITY in selected:
+        for alpha in indices:
+            for b, a in system.get(alpha, alpha).pairs:
+                if b != a:
+                    reports.append(ViolationReport(Law.IDENTITY, (alpha,), (b, a)))
+
+    if Law.SYMMETRY in selected:
+        for alpha in indices:
+            for beta in indices:
+                back = system.get(beta, alpha)
+                for pair in system.get(alpha, beta).inverse().pairs:
+                    if pair not in back.pairs:
+                        reports.append(ViolationReport(Law.SYMMETRY, (alpha, beta), pair))
+
+    if Law.TRANSITIVITY in selected:
+        for alpha in indices:
+            for beta in indices:
+                for gamma in indices:
+                    left = system.get(alpha, beta).compose(system.get(beta, gamma))
+                    right = system.get(alpha, gamma)
+                    for pair in left.pairs:
+                        if pair not in right.pairs:
+                            reports.append(
+                                ViolationReport(Law.TRANSITIVITY, (alpha, beta, gamma), pair)
+                            )
+
+    reports.sort(key=ViolationReport.sort_key)
+    return reports
+
+
+def oracle_strict_triple(system: SincovSystem):
+    """The first index triple, in sorted order, at which Phi[a,b] o Phi[b,c]
+    differs from Phi[a,c]; None when every containment is an equality."""
+    indices = sorted(system.indices)
+    for alpha in indices:
+        for beta in indices:
+            for third in indices:
+                composed = system.get(alpha, beta).compose(system.get(beta, third))
+                if composed != system.get(alpha, third):
+                    return (alpha, beta, third)
+    return None

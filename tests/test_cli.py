@@ -98,9 +98,20 @@ class TestSolve:
 
     def test_violating_system_reports(self, capsys, tmp_path):
         path = write(tmp_path, "bad.json", BROKEN_SYMMETRY)
-        code, out, _ = run_cli(capsys, "solve", path)
-        assert code == 1
-        assert json.loads(out)["violations"]
+        check_code, check_out, _ = run_cli(capsys, "check", path)
+        assert check_code == 1
+        assert json.loads(check_out)["violations"]
+        for extra in ([], ["--gamma", "a"]):
+            code, out, _ = run_cli(capsys, "solve", path, *extra)
+            assert code == 1
+            assert out == check_out
+
+    def test_unknown_gamma_wins_over_violations(self, capsys, tmp_path):
+        path = write(tmp_path, "bad.json", BROKEN_SYMMETRY)
+        code, out, err = run_cli(capsys, "solve", path, "--gamma", "zz")
+        assert code == 2
+        assert out == ""
+        assert "unknown index" in err
 
     def test_gamma_group_case(self, capsys, tmp_path):
         swap = (

@@ -30,6 +30,12 @@ class TestRelationFormat:
             ["0", "9"],
             ["3", "1"],
         ]
+        # Tuple order, not the order of the serialized entries: '"' sorts
+        # after '!', yet ["a","b"] comes first.
+        assert relation_to_obj(Relation([("a!", "b"), ("a", "b")])) == [
+            ["a", "b"],
+            ["a!", "b"],
+        ]
 
     def test_duplicates_collapse(self):
         assert relation_from_obj([["0", "1"], ["0", "1"]]) == Relation([("0", "1")])

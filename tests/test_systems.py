@@ -2,9 +2,18 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genutil import random_valid_system, relabel_system, valid_systems_st
+from genutil import (
+    mutated_systems_st,
+    oracle_strict_triple,
+    oracle_violations,
+    random_valid_system,
+    relabel_system,
+    valid_systems_st,
+)
 from sincov import (
+    ALL_LAWS,
     Atlas,
     EqualityCaseViolated,
     InvalidAtlas,
@@ -173,11 +182,12 @@ def connected_components(system):
 
 
 def atlas_partition(atlas):
+    """Carrier point -> the nodes (index, element) the charts send it to."""
     classes = {}
     for alpha, rel in atlas.charts.items():
         for z, a in rel.pairs:
             classes.setdefault(z, set()).add((alpha, a))
-    return {frozenset(members) for members in classes.values()}
+    return {z: frozenset(members) for z, members in classes.items()}
 
 
 class TestSolveAtlas:
@@ -205,13 +215,20 @@ class TestSolveAtlas:
             solve_atlas(bad)
         report = excinfo.value.report
         assert (report.law, report.indices, report.pair) == (Law.IDENTITY, ("a",), ("0", "1"))
+        assert excinfo.value.reports == check_sincov(bad)
+        assert str(excinfo.value) == (
+            "system violates identity at indices ('a',) with pair ('0', '1')"
+        )
 
     def test_classes_match_component_oracle(self):
         rng = random.Random(11)
         for _ in range(50):
             system = random_valid_system(rng, thin=True)
             atlas = solve_atlas(system)
-            assert atlas_partition(atlas) == connected_components(system)
+            # Each class is named after its least node.
+            assert atlas_partition(atlas) == {
+                "cls:{}:{}".format(*min(c)): c for c in connected_components(system)
+            }
 
     @given(valid_systems_st)
     @settings(max_examples=60)
@@ -298,3 +315,41 @@ class TestSolveViaFixedIndex:
         system = pair_system()
         atlas = solve_via_fixed_index(system, "a")
         assert reconstruct(atlas) == reconstruct(solve_atlas(system))
+
+
+laws_st = st.one_of(st.none(), st.sets(st.sampled_from(ALL_LAWS), min_size=1))
+
+
+class TestQuotientAgainstOracle:
+    """The quotient certificate must reproduce the definitional loops."""
+
+    @given(st.one_of(valid_systems_st, mutated_systems_st()), laws_st)
+    @settings(max_examples=300)
+    def test_check_sincov(self, system, laws):
+        assert check_sincov(system, laws) == oracle_violations(system, laws)
+
+    @given(valid_systems_st)
+    @settings(max_examples=150)
+    def test_fixed_index_witness(self, system):
+        strict = oracle_strict_triple(system)
+        for gamma in sorted(system.indices):
+            if strict is None:
+                assert reconstruct(solve_via_fixed_index(system, gamma)) == system
+            else:
+                with pytest.raises(EqualityCaseViolated) as excinfo:
+                    solve_via_fixed_index(system, gamma)
+                assert excinfo.value.witness == strict
+
+    @given(mutated_systems_st())
+    @settings(max_examples=150)
+    def test_precondition_reports(self, system):
+        reports = oracle_violations(system)
+        if not reports:
+            assert reconstruct(solve_atlas(system)) == system
+            return
+        gamma = min(system.indices)
+        for solve in (solve_atlas, lambda s: solve_via_fixed_index(s, gamma)):
+            with pytest.raises(PreconditionViolated) as excinfo:
+                solve(system)
+            assert excinfo.value.reports == check_sincov(system) == reports
+            assert excinfo.value.report == reports[0]
