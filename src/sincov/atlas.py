@@ -61,6 +61,15 @@ class ChartViolation:
     pair: tuple
 
 
+def chart_violation_to_obj(violation) -> dict:
+    """Wire format of a ChartViolation, or of the InvalidAtlas naming one."""
+    return {
+        "index": violation.index,
+        "predicate": violation.predicate,
+        "pair": list(violation.pair),
+    }
+
+
 def _least_conflicting_pair(rel: Relation, component: int) -> tuple:
     # Smallest pair participating in a duplicated component; deterministic.
     groups = {}
@@ -178,10 +187,7 @@ def check_at_axioms(atlas: Atlas) -> dict:
     charts = atlas.charts
     uncovered = sorted(carrier(atlas).difference(*(rel.domain for rel in charts.values())))
 
-    chart_violations = [
-        {"index": v.index, "predicate": v.predicate, "pair": list(v.pair)}
-        for v in validate_atlas(atlas)
-    ]
+    chart_violations = [chart_violation_to_obj(v) for v in validate_atlas(atlas)]
 
     transition_failures = []
     for alpha in sorted(charts):

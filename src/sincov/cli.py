@@ -11,16 +11,18 @@ Subcommands wire the library together over JSON documents:
 
 Exit codes: 0 success / all laws hold; 1 laws violated, axiom failure, or
 not isomorphic (the payload carries witnesses); 2 malformed input or bad
-invocation.  Payloads go to stdout in canonical JSON (sorted keys, compact
-separators, one trailing newline) so identical inputs produce byte-identical
-outputs; diagnostics go to stderr.  Every file argument accepts "-" for
-stdin.
+invocation; 141 (128 + SIGPIPE, what a shell reports for a process that
+signal killed) when the reader closes stdout early, with nothing on stderr.
+Payloads go to stdout in canonical JSON (sorted keys, compact separators,
+one trailing newline) so identical inputs produce byte-identical outputs;
+diagnostics go to stderr.  Every file argument accepts "-" for stdin.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import jsonio
@@ -54,12 +56,13 @@ def _load(path):
             text = fh.read()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
 def _emit(payload, pretty):
-    print(jsonio.pretty_dumps(payload) if pretty else jsonio.canonical_dumps(payload))
+    # Flushed here, so a closed pipe fails inside main, not at interpreter exit.
+    print(jsonio.pretty_dumps(payload) if pretty else jsonio.canonical_dumps(payload), flush=True)
 
 
 def _parse_laws(text):
@@ -129,12 +132,7 @@ def _cmd_iso(args):
             "only_in_second": sorted(exc.only_in_second),
         }
     except InvalidAtlas as exc:
-        payload = {
-            "error": "invalid-atlas",
-            "index": exc.index,
-            "predicate": exc.predicate,
-            "pair": list(exc.pair),
-        }
+        payload = {"error": "invalid-atlas", **jsonio.chart_violation_to_obj(exc)}
     except NotIsomorphic as exc:
         payload = {
             "error": "not-isomorphic",
@@ -223,6 +221,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (FormatError, UnknownIndex, OSError) as exc:
         print(f"sincov: error: {exc}", file=sys.stderr)
         return 2

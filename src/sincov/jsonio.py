@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .atlas import Atlas, Isomorphism
+from .atlas import Atlas, Isomorphism, chart_violation_to_obj  # re-exported with the other formats
 from .errors import FormatError
 from .flows import FlowKind, FlowSpec, Seed
 from .relations import Relation
@@ -120,14 +120,6 @@ def violation_to_obj(report) -> dict:
         "law": report.law.value,
         "indices": list(report.indices),
         "pair": list(report.pair),
-    }
-
-
-def chart_violation_to_obj(violation) -> dict:
-    return {
-        "index": violation.index,
-        "predicate": violation.predicate,
-        "pair": list(violation.pair),
     }
 
 

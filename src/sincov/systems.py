@@ -9,16 +9,17 @@ under test are the Sincov-type inequalities
     identity:      Phi[a,a]             is contained in  the identity
 
 A system obeys them iff an atlas of partial bijections generates it.
-``_quotient`` is the one mechanism behind that: the union-find classes of
-the nodes (index, element) plus a certificate that they generate the
-system.  ``check_sincov``, ``solve_atlas`` (one carrier point per class)
-and ``solve_via_fixed_index`` (the group case, where all containments are
-equalities) all rest on it; ``reconstruct`` is the inverse direction.
+``_quotient`` is the one mechanism behind that: its classes of nodes
+(index, element) are the carrier points, ``check_sincov`` reads every
+violation off its faulty classes, and ``solve_atlas`` and
+``solve_via_fixed_index`` (the group case, where all containments are
+equalities) need there to be none; ``reconstruct`` is the inverse.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 
 from .atlas import Atlas, _raise_invalid, validate_atlas
@@ -87,12 +88,13 @@ class SincovSystem:
 
 
 def _quotient(system: SincovSystem):
-    """Union-find classes of the nodes (index, element), and the laws' verdict.
+    """Union-find classes of the nodes (index, element), and the faulty ones.
 
-    A pair (b, a) in Phi[alpha, beta] is the ordered node pair ((alpha, a),
-    (beta, b)) inside one class, so P <= sum |C|^2, with equality iff every
-    class's full square is present.  The system is lawful iff that holds and
-    no class has two nodes at one index (the identity law).
+    A pair (b, a) in Phi[alpha, beta] is the edge (beta, b) -> (alpha, a)
+    inside one class.  A class is faulty iff it has fewer than |C|^2 edges
+    or two nodes at one index; every law holds inside the other classes, so
+    the system is lawful iff none is faulty, and then the classes are the
+    carrier points of a generating atlas.
     """
     parent = {}
 
@@ -107,60 +109,61 @@ def _quotient(system: SincovSystem):
         for b, a in rel.pairs:
             parent[find((alpha, a))] = find((beta, b))
 
+    root = {node: find(node) for node in parent}
     classes = {}
-    for node in parent:
-        classes.setdefault(find(node), []).append(node)
-    classes = list(classes.values())
-    pair_count = sum(len(rel.pairs) for rel in system.relations.values())
-    lawful = sum(len(c) ** 2 for c in classes) == pair_count and all(
-        len({index for index, _ in c}) == len(c) for c in classes
-    )
-    return classes, lawful
+    for node, top in root.items():
+        classes.setdefault(top, []).append(node)
+    edges = Counter()
+    for (_, beta), rel in system.relations.items():
+        edges.update(root[(beta, b)] for b, _ in rel.pairs)
+    faulty = [
+        c
+        for top, c in classes.items()
+        if edges[top] < len(c) ** 2 or len({index for index, _ in c}) < len(c)
+    ]
+    return list(classes.values()), faulty
+
+
+def _violations(system: SincovSystem, faulty, laws) -> list:
+    """The reports of ``laws`` read off the edges among the faulty nodes."""
+    successors = {node: set() for c in faulty for node in c}
+    for (alpha, beta), rel in system.relations.items():
+        for b, a in rel.pairs:
+            if (beta, b) in successors:
+                successors[(beta, b)].add((alpha, a))
+
+    reports = set()  # a transitivity report recurs for each middle element
+    for u, targets in successors.items():
+        for v in targets:
+            if u[0] == v[0] and u != v:
+                reports.add(ViolationReport(Law.IDENTITY, (u[0],), (u[1], v[1])))
+            if u not in successors[v]:
+                reports.add(ViolationReport(Law.SYMMETRY, (v[0], u[0]), (v[1], u[1])))
+            reports.update(
+                ViolationReport(Law.TRANSITIVITY, (w[0], v[0], u[0]), (u[1], w[1]))
+                for w in successors[v] - targets
+            )
+    return sorted((r for r in reports if r.law in laws), key=ViolationReport.sort_key)
 
 
 def check_sincov(system: SincovSystem, laws=None) -> list:
     """All law violations, one report per (law, indices, witness pair).
 
-    A system that ``_quotient`` certifies lawful has none under any
-    ``laws``; only unlawful input runs the definitional loops that list
-    them.  The list is sorted by the reports' canonical serialization, so
-    it is deterministic.  An empty list means the system solves the
-    inequalities.
+    They are read off the edges u -> v of ``_quotient``'s faulty classes:
+    identity fails at an edge within one index, symmetry at an edge without
+    its reverse, transitivity at a path u -> v -> w without the edge u -> w.
+    The list is sorted by the reports' canonical serialization, so it is
+    deterministic.  An empty list means the system solves the inequalities.
     """
-    if _quotient(system)[1]:
-        return []
-    selected = set(ALL_LAWS if laws is None else laws)
-    reports = []
-    indices = sorted(system.indices)
+    return _violations(system, _quotient(system)[1], set(ALL_LAWS if laws is None else laws))
 
-    if Law.IDENTITY in selected:
-        for alpha in indices:
-            for b, a in system.get(alpha, alpha).pairs:
-                if b != a:
-                    reports.append(ViolationReport(Law.IDENTITY, (alpha,), (b, a)))
 
-    if Law.SYMMETRY in selected:
-        for alpha in indices:
-            for beta in indices:
-                back = system.get(beta, alpha)
-                for pair in system.get(alpha, beta).inverse().pairs:
-                    if pair not in back.pairs:
-                        reports.append(ViolationReport(Law.SYMMETRY, (alpha, beta), pair))
-
-    if Law.TRANSITIVITY in selected:
-        for alpha in indices:
-            for beta in indices:
-                for gamma in indices:
-                    left = system.get(alpha, beta).compose(system.get(beta, gamma))
-                    right = system.get(alpha, gamma)
-                    for pair in left.pairs:
-                        if pair not in right.pairs:
-                            reports.append(
-                                ViolationReport(Law.TRANSITIVITY, (alpha, beta, gamma), pair)
-                            )
-
-    reports.sort(key=ViolationReport.sort_key)
-    return reports
+def _lawful_classes(system: SincovSystem) -> list:
+    """The solvers' guard: raises PreconditionViolated with every report."""
+    classes, faulty = _quotient(system)
+    if faulty:
+        raise PreconditionViolated(_violations(system, faulty, ALL_LAWS))
+    return classes
 
 
 def solve_atlas(system: SincovSystem) -> Atlas:
@@ -176,14 +179,9 @@ def solve_atlas(system: SincovSystem) -> Atlas:
     when the laws fail, since then the charts need not be partial
     bijections.
     """
-    classes, lawful = _quotient(system)
-    if not lawful:
-        raise PreconditionViolated(check_sincov(system))
-
     charts = {index: set() for index in system.indices}
-    for members in classes:
-        least = min(members)
-        class_id = f"cls:{least[0]}:{least[1]}"
+    for members in _lawful_classes(system):
+        class_id = "cls:{}:{}".format(*min(members))
         for index, element in members:
             charts[index].add((class_id, element))
 
@@ -193,21 +191,25 @@ def solve_atlas(system: SincovSystem) -> Atlas:
 def reconstruct(atlas: Atlas) -> SincovSystem:
     """The transition-relation system generated by an atlas.
 
-    Phi[alpha, beta] = chart_alpha o chart_beta^-1 for every index pair;
-    the result always passes ``check_sincov``.  Raises InvalidAtlas naming
+    Phi[alpha, beta] = chart_alpha o chart_beta^-1, so each carrier point
+    adds the full square of its nodes: (b, a) for its (alpha, a), (beta, b).
+    The result always passes ``check_sincov``.  Raises InvalidAtlas naming
     the first chart that is not a partial bijection.
     """
     violations = validate_atlas(atlas)
     if violations:
         _raise_invalid(violations)
 
+    classes = {}
+    for alpha, chart in atlas.charts.items():
+        for z, a in chart.pairs:
+            classes.setdefault(z, []).append((alpha, a))
     relations = {}
-    for alpha, chart_a in atlas.charts.items():
-        for beta, chart_b in atlas.charts.items():
-            rel = chart_a.compose(chart_b.inverse())
-            if rel.pairs:
-                relations[(alpha, beta)] = rel
-    return SincovSystem(atlas.charts.keys(), relations)
+    for nodes in classes.values():
+        for alpha, a in nodes:
+            for beta, b in nodes:
+                relations.setdefault((alpha, beta), set()).add((b, a))
+    return SincovSystem(atlas.charts.keys(), {k: Relation(p) for k, p in relations.items()})
 
 
 def solve_via_fixed_index(system: SincovSystem, gamma) -> Atlas:
@@ -232,10 +234,7 @@ def solve_via_fixed_index(system: SincovSystem, gamma) -> Atlas:
     if gamma not in system.indices:
         raise UnknownIndex(gamma)
 
-    classes, lawful = _quotient(system)
-    if not lawful:
-        raise PreconditionViolated(check_sincov(system))
-
+    classes = _lawful_classes(system)
     partial = [{index for index, _ in c} for c in classes if len(c) < len(system.indices)]
     if partial:
         alpha = min(min(met) for met in partial)

@@ -169,20 +169,22 @@ valid_systems_st = atlases_st().map(reconstruct)
 
 @st.composite
 def mutated_systems_st(draw):
-    """A valid system with one pair dropped or one pair added; mostly
-    unlawful, sometimes (a redundant addition, a lone loop dropped) not."""
+    """A valid system with one to three pairs dropped or added; mostly
+    unlawful, sometimes (a redundant addition, a lone loop dropped) not.
+    Edits far apart leave several faulty classes beside lawful ones."""
     system = draw(valid_systems_st)
     relations = dict(system.relations)
-    pairs = sorted((key, pair) for key, rel in relations.items() for pair in rel.pairs)
-    if pairs and draw(st.booleans()):
-        key, pair = draw(st.sampled_from(pairs))
-        relations[key] = Relation(relations[key].pairs - {pair})
-    else:
-        index = st.sampled_from(sorted(system.indices))
-        element = st.sampled_from(ELEMENT_POOL)
-        key = draw(st.tuples(index, index))
-        pair = draw(st.tuples(element, element))
-        relations[key] = Relation(system.get(*key).pairs | {pair})
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        pairs = sorted((key, pair) for key, rel in relations.items() for pair in rel.pairs)
+        if pairs and draw(st.booleans()):
+            key, pair = draw(st.sampled_from(pairs))
+            relations[key] = Relation(relations[key].pairs - {pair})
+        else:
+            index = st.sampled_from(sorted(system.indices))
+            element = st.sampled_from(ELEMENT_POOL)
+            key = draw(st.tuples(index, index))
+            pair = draw(st.tuples(element, element))
+            relations[key] = Relation(relations.get(key, Relation()).pairs | {pair})
     return SincovSystem(system.indices, relations)
 
 

@@ -66,6 +66,18 @@ class TestCheck:
         assert out == ""
         assert "error" in err
 
+    def test_deeply_nested_json(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "sincov", "check", "-"],
+            input="[" * 100000 + "]" * 100000,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("sincov: error: ")
+        assert "Traceback" not in result.stderr
+
     def test_wrong_shape(self, capsys, tmp_path):
         path = write(tmp_path, "shape.json", '{"indices":["a"],"relations":{"a":[]}}')
         code, _, err = run_cli(capsys, "check", path)
@@ -308,3 +320,23 @@ class TestSubprocessEntryPoints:
             check=True,
         ).stdout
         assert rebuilt == generated == BLOWUP_SYSTEM.read_bytes()
+
+    def test_broken_pipe_exits_quietly(self, tmp_path):
+        # About 115 KiB of output, more than a pipe and a read buffer hold, so
+        # the writer is still writing when the reader goes away.
+        flow = {
+            "kind": "blowup",
+            "grid": [f"{i}/4" for i in range(30)],
+            "seeds": [{"t": "0", "x": f"{k}/7"} for k in range(-5, 6)],
+        }
+        path = write(tmp_path, "flow.json", json.dumps(flow))
+        with open(tmp_path / "stderr", "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "sincov", "flow-gen", path],
+                stdout=subprocess.PIPE,
+                stderr=err,
+            )
+            assert proc.stdout.read(10) == b'{"indices"'
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+        assert (tmp_path / "stderr").read_bytes() == b""

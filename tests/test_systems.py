@@ -22,6 +22,7 @@ from sincov import (
     Relation,
     SincovSystem,
     UnknownIndex,
+    ViolationReport,
     check_sincov,
     reconstruct,
     solve_atlas,
@@ -120,6 +121,20 @@ class TestCheckSincov:
             r.law is Law.TRANSITIVITY and r.indices == ("a", "b", "c") and r.pair == ("2", "0")
             for r in reports
         )
+
+    def test_shared_transitivity_report_listed_once(self):
+        # Both middle elements 1 and 2 at b carry 0 at c to 3 at a, and
+        # Phi[a,c] is empty: two paths, one report.
+        system = SincovSystem(
+            ["a", "b", "c"],
+            {
+                ("b", "c"): Relation([("0", "1"), ("0", "2")]),
+                ("a", "b"): Relation([("1", "3"), ("2", "3")]),
+            },
+        )
+        assert check_sincov(system, [Law.TRANSITIVITY]) == [
+            ViolationReport(Law.TRANSITIVITY, ("a", "b", "c"), ("0", "3"))
+        ]
 
     def test_laws_filter(self):
         system = SincovSystem(["a", "b"], {("a", "b"): Relation([("1", "0")])})
