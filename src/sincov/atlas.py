@@ -107,9 +107,27 @@ def transition(atlas: Atlas, alpha, beta) -> Relation:
     return atlas.chart(alpha).compose(atlas.chart(beta).inverse())
 
 
+def _transitions(atlas: Atlas) -> dict:
+    """Every non-empty ``transition``, keyed (alpha, beta), in one pass: each
+    carrier point z adds (b, a) to (alpha, beta) for its chart pairs (z, a)
+    in alpha and (z, b) in beta, for any atlas, valid or not."""
+    nodes = {}
+    for alpha, chart in atlas.charts.items():
+        for z, a in chart.pairs:
+            nodes.setdefault(z, []).append((alpha, a))
+    pairs = {}
+    for square in nodes.values():
+        for alpha, a in square:
+            for beta, b in square:
+                pairs.setdefault((alpha, beta), set()).add((b, a))
+    return {key: Relation(p) for key, p in pairs.items()}
+
+
 def _raise_invalid(violations):
     first = violations[0]
-    raise InvalidAtlas(first.index, first.predicate, first.pair)
+    exc = InvalidAtlas(first.index, first.predicate, first.pair)
+    exc.violations = violations
+    raise exc
 
 
 def _match_charts(src: Atlas, dst: Atlas, present_in: int, missing_reason: str) -> dict:
@@ -180,23 +198,24 @@ def check_at_axioms(atlas: Atlas) -> dict:
          definition; computed anyway rather than assumed).
     at2: every chart is a bijection of its domain onto its image.
     at3: every transition relation is a bijection from the source chart's
-         image of the shared domain onto the target chart's image of it.
+         image of the shared domain onto the target chart's image of it;
+         the transitions are ``reconstruct``'s, read off ``_transitions``.
 
     Failures are reported, never raised.
     """
     charts = atlas.charts
-    uncovered = sorted(carrier(atlas).difference(*(rel.domain for rel in charts.values())))
+    domains = {alpha: rel.domain for alpha, rel in charts.items()}
+    uncovered = sorted(carrier(atlas).difference(*domains.values()))
 
     chart_violations = [chart_violation_to_obj(v) for v in validate_atlas(atlas)]
 
+    transitions = _transitions(atlas)
     transition_failures = []
     for alpha in sorted(charts):
         for beta in sorted(charts):
-            t = transition(atlas, alpha, beta)
-            shared_a = charts[alpha].domain
-            shared_b = charts[beta].domain
-            source_image = {a for z, a in charts[beta].pairs if z in shared_a}
-            target_image = {a for z, a in charts[alpha].pairs if z in shared_b}
+            t = transitions.get((alpha, beta), EMPTY)
+            source_image = {a for z, a in charts[beta].pairs if z in domains[alpha]}
+            target_image = {a for z, a in charts[alpha].pairs if z in domains[beta]}
             failed = []
             if t.domain != source_image:
                 failed.append("domain")

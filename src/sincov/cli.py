@@ -26,7 +26,8 @@ import os
 import sys
 
 from . import jsonio
-from .atlas import check_at_axioms, find_isomorphism, validate_atlas
+# Not called here since reconstruct validates; bench/tracing.py spans this reference.
+from .atlas import check_at_axioms, find_isomorphism, validate_atlas  # noqa: F401
 from .errors import (
     EqualityCaseViolated,
     FormatError,
@@ -111,13 +112,13 @@ def _cmd_solve(args):
 
 def _cmd_reconstruct(args):
     atlas = jsonio.atlas_from_obj(_load(args.file))
-    violations = validate_atlas(atlas)
-    if violations:
-        payload = {"chart_violations": [jsonio.chart_violation_to_obj(v) for v in violations]}
-        _emit(payload, args.pretty)
-        return 1
-    _emit(jsonio.system_to_obj(reconstruct(atlas)), args.pretty)
-    return 0
+    try:  # serialized here, so the system is freed before the JSON text is built
+        payload, code = jsonio.system_to_obj(reconstruct(atlas)), 0
+    except InvalidAtlas as exc:
+        payload = {"chart_violations": [jsonio.chart_violation_to_obj(v) for v in exc.violations]}
+        code = 1
+    _emit(payload, args.pretty)
+    return code
 
 
 def _cmd_iso(args):

@@ -37,7 +37,13 @@ class PreconditionViolated(SincovError):
 
 
 class InvalidAtlas(SincovError):
-    """An atlas chart is not a partial bijection."""
+    """An atlas chart is not a partial bijection.
+
+    Names the first chart violation; when raised after ``validate_atlas``,
+    ``violations`` holds them all, so callers need not validate again.
+    """
+
+    violations = ()
 
     def __init__(self, index, predicate, pair):
         super().__init__(f"chart {index!r} fails {predicate} at pair {pair}")

@@ -123,15 +123,6 @@ def flow_eval(spec: FlowSpec, tau, alpha, a):
     return orbit[int(tau - alpha) % len(orbit)]
 
 
-def _trajectory(spec, grid, seed) -> dict:
-    traj = {}
-    for t in grid:
-        value = flow_eval(spec, t, seed.time, seed.value)
-        if value is not None:
-            traj[t] = value
-    return traj
-
-
 def build_system(spec: FlowSpec, time_grid, seeds) -> SincovSystem:
     """The transition-relation system of the seeds' trajectories on a grid.
 
@@ -152,17 +143,21 @@ def build_system(spec: FlowSpec, time_grid, seeds) -> SincovSystem:
         if spec.kind is FlowKind.PERMUTATION and ident(seed.value) not in spec.mapping:
             raise ValueError(f"seed value {seed.value!r} is not in the permutation carrier")
 
-    pair_sets = {}
-    for seed in seeds:
-        traj = _trajectory(spec, grid, seed)
-        for t_out, value_out in traj.items():
-            for t_in, value_in in traj.items():
-                key = (ident(t_out), ident(t_in))
-                pair_sets.setdefault(key, set()).add((ident(value_in), ident(value_out)))
-
+    # Values by grid position, None where undefined.  The constructors
+    # stringify them and drop merged seeds' duplicates; str is injective on
+    # reduced fractions, so nothing merges that Fraction equality keeps apart.
+    trajectories = [[flow_eval(spec, t, seed.time, seed.value) for t in grid] for seed in seeds]
     return SincovSystem(
-        (ident(t) for t in grid),
-        {key: Relation(pairs) for key, pairs in pair_sets.items()},
+        grid,
+        {
+            (t_out, t_in): Relation(
+                (traj[j], traj[i])
+                for traj in trajectories
+                if traj[i] is not None and traj[j] is not None
+            )
+            for i, t_out in enumerate(grid)
+            for j, t_in in enumerate(grid)
+        },
     )
 
 

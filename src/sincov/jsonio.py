@@ -176,8 +176,8 @@ def flow_from_obj(obj):
         "unknown keys in flow descriptor",
     )
     kind_name = obj.get("kind")
-    _require(kind_name in _KINDS, f"kind must be one of {sorted(_KINDS)}")
-    kind = _KINDS[kind_name]
+    kind = _KINDS.get(kind_name) if isinstance(kind_name, str) else None
+    _require(kind is not None, f"kind must be one of {sorted(_KINDS)}")
 
     if kind is FlowKind.PERMUTATION:
         table = obj.get("permutation")

@@ -15,6 +15,10 @@ The two predicates at the heart of the package:
 
 A relation that is both is a partial bijection.  These are closed under
 composition and inverse, which the test suite exercises as a law.
+
+The ``Relation``, ``SincovSystem`` and ``Atlas`` constructors are the one
+place identifiers are normalized: they pass every element, index and
+carrier point through ``ident``, so callers need not convert first.
 """
 
 from __future__ import annotations

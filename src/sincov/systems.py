@@ -22,7 +22,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 
-from .atlas import Atlas, _raise_invalid, validate_atlas
+from .atlas import Atlas, _raise_invalid, _transitions, validate_atlas
 from .errors import (
     EqualityCaseViolated,
     PreconditionViolated,
@@ -179,7 +179,7 @@ def solve_atlas(system: SincovSystem) -> Atlas:
     when the laws fail, since then the charts need not be partial
     bijections.
     """
-    charts = {index: set() for index in system.indices}
+    charts = {index: set() for index in sorted(system.indices)}
     for members in _lawful_classes(system):
         class_id = "cls:{}:{}".format(*min(members))
         for index, element in members:
@@ -191,25 +191,15 @@ def solve_atlas(system: SincovSystem) -> Atlas:
 def reconstruct(atlas: Atlas) -> SincovSystem:
     """The transition-relation system generated by an atlas.
 
-    Phi[alpha, beta] = chart_alpha o chart_beta^-1, so each carrier point
-    adds the full square of its nodes: (b, a) for its (alpha, a), (beta, b).
-    The result always passes ``check_sincov``.  Raises InvalidAtlas naming
-    the first chart that is not a partial bijection.
+    Phi[alpha, beta] = chart_alpha o chart_beta^-1, read off the carrier
+    points by ``atlas._transitions``.  The result always passes
+    ``check_sincov``.  Raises InvalidAtlas naming the first chart that is
+    not a partial bijection (its ``violations`` lists them all).
     """
     violations = validate_atlas(atlas)
     if violations:
         _raise_invalid(violations)
-
-    classes = {}
-    for alpha, chart in atlas.charts.items():
-        for z, a in chart.pairs:
-            classes.setdefault(z, []).append((alpha, a))
-    relations = {}
-    for nodes in classes.values():
-        for alpha, a in nodes:
-            for beta, b in nodes:
-                relations.setdefault((alpha, beta), set()).add((b, a))
-    return SincovSystem(atlas.charts.keys(), {k: Relation(p) for k, p in relations.items()})
+    return SincovSystem(atlas.charts.keys(), _transitions(atlas))
 
 
 def solve_via_fixed_index(system: SincovSystem, gamma) -> Atlas:
@@ -241,4 +231,4 @@ def solve_via_fixed_index(system: SincovSystem, gamma) -> Atlas:
         beta = min(min(system.indices - met) for met in partial if alpha in met)
         raise EqualityCaseViolated((alpha, beta, alpha))
 
-    return Atlas({alpha: system.get(alpha, gamma) for alpha in system.indices})
+    return Atlas({alpha: system.get(alpha, gamma) for alpha in sorted(system.indices)})

@@ -5,7 +5,8 @@ the big seeded acceptance loops, and hypothesis strategies for the law
 tests.  Valid systems are always produced by reconstructing a random
 atlas (optionally thinned), which is the one construction guaranteed to
 satisfy all three laws.  The definitional loops live here too, as the
-oracles that the library's quotient certificate is checked against.
+oracles that the library's quotient certificate and its one-pass atlas
+transitions are checked against.
 """
 
 from __future__ import annotations
@@ -21,8 +22,12 @@ from sincov import (
     Relation,
     SincovSystem,
     ViolationReport,
+    carrier,
     reconstruct,
+    transition,
+    validate_atlas,
 )
+from sincov.atlas import chart_violation_to_obj
 
 INDEX_POOL = ["a", "b", "c", "d", "e", "f"]
 ELEMENT_POOL = [str(i) for i in range(12)]
@@ -164,6 +169,17 @@ def atlases_st(draw):
     return Atlas(charts)
 
 
+@st.composite
+def raw_atlases_st(draw):
+    """Atlases whose charts are arbitrary relations, so mostly not partial
+    bijections: few points and elements make shared ones likely."""
+    indices = draw(
+        st.lists(st.sampled_from(INDEX_POOL), min_size=1, max_size=4, unique=True)
+    )
+    pairs = st.tuples(st.sampled_from(["z0", "z1", "z2"]), st.sampled_from(ELEMENT_POOL[:4]))
+    return Atlas({alpha: Relation(draw(st.lists(pairs, max_size=5))) for alpha in indices})
+
+
 valid_systems_st = atlases_st().map(reconstruct)
 
 
@@ -239,3 +255,40 @@ def oracle_strict_triple(system: SincovSystem):
                 if composed != system.get(alpha, third):
                     return (alpha, beta, third)
     return None
+
+
+def oracle_at_axioms(atlas: Atlas) -> dict:
+    """The set-level atlas axiom report by the definitional loop: at3 takes
+    ``transition`` (one compose, one inverse) for every index pair."""
+    charts = atlas.charts
+    uncovered = sorted(carrier(atlas).difference(*(rel.domain for rel in charts.values())))
+
+    chart_violations = [chart_violation_to_obj(v) for v in validate_atlas(atlas)]
+
+    transition_failures = []
+    for alpha in sorted(charts):
+        for beta in sorted(charts):
+            t = transition(atlas, alpha, beta)
+            shared_a = charts[alpha].domain
+            shared_b = charts[beta].domain
+            source_image = {a for z, a in charts[beta].pairs if z in shared_a}
+            target_image = {a for z, a in charts[alpha].pairs if z in shared_b}
+            failed = []
+            if t.domain != source_image:
+                failed.append("domain")
+            if t.range != target_image:
+                failed.append("range")
+            if not t.is_injective():
+                failed.append("injectivity")
+            if not t.is_coinjective():
+                failed.append("co-injectivity")
+            if failed:
+                transition_failures.append(
+                    {"alpha": alpha, "beta": beta, "failed": failed}
+                )
+
+    return {
+        "at1": {"pass": not uncovered, "witnesses": uncovered},
+        "at2": {"pass": not chart_violations, "witnesses": chart_violations},
+        "at3": {"pass": not transition_failures, "witnesses": transition_failures},
+    }

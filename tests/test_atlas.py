@@ -2,15 +2,19 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genutil import (
     atlases_st,
     mutate_atlas,
+    oracle_at_axioms,
     random_atlas,
     random_carrier_bijection,
+    raw_atlases_st,
     rename_carrier,
 )
 from sincov import (
+    EMPTY,
     Atlas,
     IndexMismatch,
     Isomorphism,
@@ -26,6 +30,7 @@ from sincov import (
     validate_atlas,
     verify_isomorphism,
 )
+from sincov.atlas import _transitions
 from test_systems import pair_system, swap_system, two_class_system
 
 
@@ -85,6 +90,15 @@ class TestTransition:
                         transition(atlas, beta, gamma)
                     )
                     assert left <= transition(atlas, alpha, gamma)
+
+    @given(st.one_of(atlases_st(), raw_atlases_st()))
+    @settings(max_examples=100)
+    def test_one_pass_transitions_match_each_pair(self, atlas):
+        transitions = _transitions(atlas)
+        for alpha in atlas.indices:
+            for beta in atlas.indices:
+                assert transitions.get((alpha, beta), EMPTY) == transition(atlas, alpha, beta)
+        assert all(transitions.values())
 
 
 class TestCarrier:
@@ -236,3 +250,24 @@ class TestAtAxioms:
     def test_valid_atlases_pass(self, atlas):
         report = check_at_axioms(atlas)
         assert all(section["pass"] for section in report.values())
+
+    def test_non_bijective_chart_fails_at3(self):
+        atlas = Atlas({"a": Relation([("z", "0"), ("z", "1")]), "b": Relation([("z", "5")])})
+        assert check_at_axioms(atlas)["at3"] == {
+            "pass": False,
+            "witnesses": [
+                {"alpha": "a", "beta": "a", "failed": ["injectivity", "co-injectivity"]},
+                {"alpha": "a", "beta": "b", "failed": ["co-injectivity"]},
+                {"alpha": "b", "beta": "a", "failed": ["injectivity"]},
+            ],
+        }
+
+    @given(atlases_st())
+    @settings(max_examples=60)
+    def test_matches_oracle_on_valid_atlases(self, atlas):
+        assert check_at_axioms(atlas) == oracle_at_axioms(atlas)
+
+    @given(raw_atlases_st())
+    @settings(max_examples=200)
+    def test_matches_oracle_on_non_bijective_atlases(self, atlas):
+        assert check_at_axioms(atlas) == oracle_at_axioms(atlas)

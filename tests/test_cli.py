@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import subprocess
@@ -5,7 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import sincov.atlas
+import sincov.cli
+import sincov.systems
 from sincov.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -174,6 +180,29 @@ class TestReconstruct:
             ]
         }
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ('{"charts":{"a":[["z","0"]],"b":[["z","1"]]}}', 0),
+            ('{"charts":{"a":[["z","0"],["z","1"]],"b":[["w","2"],["v","2"]]}}', 1),
+        ],
+        ids=["valid", "invalid"],
+    )
+    def test_validates_atlas_once(self, capsys, monkeypatch, tmp_path, text, expected):
+        calls = []
+        validate_atlas = sincov.atlas.validate_atlas
+
+        def counted(atlas):
+            calls.append(atlas)
+            return validate_atlas(atlas)
+
+        for module in (sincov.atlas, sincov.systems, sincov.cli):
+            monkeypatch.setattr(module, "validate_atlas", counted)
+        code, out, _ = run_cli(capsys, "reconstruct", write(tmp_path, "atlas.json", text))
+        assert (code, len(calls)) == (expected, 1)
+        if expected:
+            assert len(json.loads(out)["chart_violations"]) == 2
+
 
 class TestIso:
     def test_self_is_identity(self, capsys):
@@ -248,6 +277,85 @@ class TestFlowGen:
         code, _, err = run_cli(capsys, "flow-gen", path)
         assert code == 2
         assert "grid" in err
+
+    @pytest.mark.parametrize("kind", [[], {}, None, 3])
+    def test_non_string_kind(self, capsys, tmp_path, kind):
+        flow = json.dumps({"kind": kind, "grid": ["0"], "seeds": []})
+        code, out, err = run_cli(capsys, "flow-gen", write(tmp_path, "flow.json", flow))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("sincov: error: kind must be one of [")
+
+
+def _field_paths(doc, prefix=()):
+    """Every path of keys and list positions below the document root."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[path[0]] = _replaced(doc[path[0]], path[1:], value)
+    return copy
+
+
+PERMUTATION_FLOW = {
+    "kind": "permutation",
+    "grid": ["0", "1", "2"],
+    "permutation": {"p": "q", "q": "p"},
+    "seeds": [{"t": "0", "x": "p"}],
+}
+FUZZ_DOCUMENTS = [
+    (["check", "-"], json.loads(PAIR_SYSTEM.read_text())),
+    (["solve", "-"], json.loads(PAIR_SYSTEM.read_text())),
+    (["solve", "--gamma", "a", "-"], json.loads(PAIR_SYSTEM.read_text())),
+    (["reconstruct", "-"], json.loads(PAIR_ATLAS.read_text())),
+    (["iso", "-", str(PAIR_ATLAS)], json.loads(PAIR_ATLAS.read_text())),
+    (["axioms", "-"], json.loads(PAIR_ATLAS.read_text())),
+    (["flow-gen", "-"], json.loads(BLOWUP_FLOW.read_text())),
+    (["flow-gen", "-"], PERMUTATION_FLOW),
+]
+FUZZ_FIELDS = [(argv, doc, path) for argv, doc in FUZZ_DOCUMENTS for path in _field_paths(doc)]
+FLOW_KIND = next(f for f in FUZZ_FIELDS if f[0][0] == "flow-gen" and f[2] == ("kind",))
+json_scalars = st.none() | st.booleans() | st.integers() | st.text()
+json_values = st.recursive(
+    json_scalars | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestFuzz:
+    @given(field=st.sampled_from(FUZZ_FIELDS), value=json_values)
+    @example(field=FLOW_KIND, value=[])
+    @example(field=FLOW_KIND, value={})
+    @settings(max_examples=400, deadline=None)
+    def test_one_field_replaced(self, field, value):
+        # Any one field of a valid document replaced by any JSON value: a
+        # payload and exit 0 or 1, or exit 2 with one error line and no payload.
+        argv, doc, path = field
+        out, err, saved_stdin = io.StringIO(), io.StringIO(), sys.stdin
+        sys.stdin = io.StringIO(json.dumps(_replaced(doc, path, value)))
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            sys.stdin = saved_stdin
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("sincov: error: ")
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        else:
+            json.loads(out.getvalue())
+            assert err.getvalue() == ""
 
 
 class TestOutputModes:

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genutil import (
+    ELEMENT_POOL,
+    INDEX_POOL,
     mutated_systems_st,
     oracle_strict_triple,
     oracle_violations,
@@ -27,6 +29,7 @@ from sincov import (
     reconstruct,
     solve_atlas,
     solve_via_fixed_index,
+    validate_atlas,
 )
 
 
@@ -153,14 +156,27 @@ class TestCheckSincov:
         reports = check_sincov(system)
         assert [r.sort_key() for r in reports] == sorted(r.sort_key() for r in reports)
 
-    def test_relabeling_equivariance(self):
-        rng = random.Random(7)
-        index_map = {i: f"I{i}" for i in "abcdef"}
-        element_map = {str(i): f"m{i}" for i in range(12)}
-        for _ in range(25):
-            system = random_valid_system(rng, thin=True)
-            relabeled = relabel_system(system, index_map, element_map)
-            assert check_sincov(relabeled) == []
+    @given(st.one_of(valid_systems_st, mutated_systems_st()), st.data())
+    @settings(max_examples=150)
+    def test_relabeling_equivariance(self, system, data):
+        # Injective relabelings onto fresh ids, in any order: the reports
+        # map onto the relabeled system's, and lawful systems round-trip.
+        fresh = st.text(alphabet="xyz89", min_size=1, max_size=3)
+        targets = data.draw(st.lists(fresh, min_size=18, max_size=18, unique=True))
+        index_map = dict(zip(INDEX_POOL, targets))
+        element_map = dict(zip(ELEMENT_POOL, targets[len(INDEX_POOL):]))
+        relabeled = relabel_system(system, index_map, element_map)
+
+        def relabel_report(r):
+            indices = tuple(index_map[i] for i in r.indices)
+            return (r.law, indices, tuple(element_map[e] for e in r.pair))
+
+        reports = check_sincov(system)
+        assert {relabel_report(r) for r in reports} == {
+            (r.law, r.indices, r.pair) for r in check_sincov(relabeled)
+        }
+        if not reports:
+            assert reconstruct(solve_atlas(relabeled)) == relabeled
 
     def test_relabeling_preserves_violations(self):
         system = SincovSystem(["a", "b"], {("a", "b"): Relation([("1", "0")])})
@@ -235,6 +251,14 @@ class TestSolveAtlas:
             "system violates identity at indices ('a',) with pair ('0', '1')"
         )
 
+    def test_charts_in_sorted_index_order(self):
+        # Every point in every chart: a group-case system, so both solvers apply.
+        indices = [f"t{i}" for i in range(10)]
+        atlas = Atlas({alpha: Relation([("z0", "0"), ("z1", "1")]) for alpha in indices})
+        system = reconstruct(atlas)
+        assert list(solve_atlas(system).charts) == indices
+        assert list(solve_via_fixed_index(system, "t3").charts) == indices
+
     def test_classes_match_component_oracle(self):
         rng = random.Random(11)
         for _ in range(50):
@@ -270,6 +294,19 @@ class TestReconstruct:
             reconstruct(Atlas({"a": Relation([("z", "0"), ("z", "1")])}))
         assert excinfo.value.index == "a"
         assert excinfo.value.predicate == "co-injectivity"
+
+    def test_invalid_atlas_carries_every_violation(self):
+        atlas = Atlas(
+            {
+                "b": Relation([("z", "0"), ("w", "0")]),
+                "a": Relation([("z", "0"), ("z", "1")]),
+            }
+        )
+        with pytest.raises(InvalidAtlas) as excinfo:
+            reconstruct(atlas)
+        assert str(excinfo.value) == "chart 'a' fails co-injectivity at pair ('z', '0')"
+        assert excinfo.value.violations == validate_atlas(atlas)
+        assert [v.index for v in excinfo.value.violations] == ["a", "b"]
 
     @given(valid_systems_st)
     @settings(max_examples=100)
