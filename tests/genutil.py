@@ -180,6 +180,27 @@ def raw_atlases_st(draw):
     return Atlas({alpha: Relation(draw(st.lists(pairs, max_size=5))) for alpha in indices})
 
 
+@st.composite
+def corrupted_atlases_st(draw):
+    """A valid atlas with one or two charts made non-bijective: each gets
+    one point sent to two elements, or two points sent to one element.  The
+    untouched charts keep their (often non-empty) transitions beside the
+    corrupted charts' rows and columns."""
+    charts = dict(draw(atlases_st()).charts)
+    points = st.sampled_from([f"z{i}" for i in range(6)])
+    elements = st.sampled_from(ELEMENT_POOL)
+    corrupted = st.lists(st.sampled_from(sorted(charts)), min_size=1, max_size=2, unique=True)
+    for alpha in draw(corrupted):
+        if draw(st.booleans()):
+            z = draw(points)
+            extra = {(z, a) for a in draw(st.lists(elements, min_size=2, max_size=2, unique=True))}
+        else:
+            a = draw(elements)
+            extra = {(z, a) for z in draw(st.lists(points, min_size=2, max_size=2, unique=True))}
+        charts[alpha] = Relation(charts[alpha].pairs | extra)
+    return Atlas(charts)
+
+
 valid_systems_st = atlases_st().map(reconstruct)
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from genutil import (
     atlases_st,
+    corrupted_atlases_st,
     mutate_atlas,
     oracle_at_axioms,
     random_atlas,
@@ -30,6 +31,7 @@ from sincov import (
     validate_atlas,
     verify_isomorphism,
 )
+import sincov.atlas
 from sincov.atlas import _transitions
 from test_systems import pair_system, swap_system, two_class_system
 
@@ -267,7 +269,81 @@ class TestAtAxioms:
     def test_matches_oracle_on_valid_atlases(self, atlas):
         assert check_at_axioms(atlas) == oracle_at_axioms(atlas)
 
-    @given(raw_atlases_st())
-    @settings(max_examples=200)
+    @given(st.one_of(raw_atlases_st(), corrupted_atlases_st()))
+    @settings(max_examples=300)
     def test_matches_oracle_on_non_bijective_atlases(self, atlas):
-        assert check_at_axioms(atlas) == oracle_at_axioms(atlas)
+        # at3 is read off at2: partial bijections are closed under compose
+        # and inverse, so every failing transition touches a chart at2 names,
+        # and a transition's domain and range always match the chart images.
+        report = check_at_axioms(atlas)
+        oracle = oracle_at_axioms(atlas)
+        assert report == oracle
+        bad = {w["index"] for w in report["at2"]["witnesses"]}
+        assert all(w["alpha"] in bad or w["beta"] in bad for w in report["at3"]["witnesses"])
+        assert not any({"domain", "range"} & set(w["failed"]) for w in oracle["at3"]["witnesses"])
+
+
+def big_atlas(rng, bad=None):
+    """24 charts over 200 points, each a random partial bijection onto its
+    own elements; chart `bad` also sends two of its points to one element."""
+    points = [f"z{i}" for i in range(200)]
+    charts = {}
+    for k in range(24):
+        alpha = f"i{k:02d}"
+        domain = rng.sample(points, 80)
+        pairs = {(z, f"{alpha}.{n}") for n, z in enumerate(domain)}
+        if alpha == bad:
+            pairs.add((next(z for z in points if z not in domain), f"{alpha}.0"))
+        charts[alpha] = Relation(pairs)
+    return Atlas(charts)
+
+
+class TestAtAxiomsWork:
+    """at3's work is pinned by counts: the transitions it builds and the
+    ones whose bijectivity it examines."""
+
+    def test_valid_atlas_builds_no_transition(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(sincov.atlas, "_transitions", counted("_transitions", _transitions))
+        monkeypatch.setattr(sincov.atlas, "transition", counted("transition", transition))
+        monkeypatch.setattr(Relation, "compose", counted("compose", Relation.compose))
+        report = check_at_axioms(big_atlas(random.Random(41)))
+        assert all(section["pass"] for section in report.values())
+        assert calls == []
+
+    def test_only_transitions_touching_the_bad_chart_are_examined(self, monkeypatch):
+        atlas = big_atlas(random.Random(43), bad="i07")
+        charts = list(atlas.charts.values())
+        examined = []
+
+        def recorded(fn):
+            def wrapper(self):
+                if not any(self is chart for chart in charts):
+                    examined.append(self.pairs)
+                return fn(self)
+
+            return wrapper
+
+        monkeypatch.setattr(Relation, "is_injective", recorded(Relation.is_injective))
+        monkeypatch.setattr(Relation, "is_coinjective", recorded(Relation.is_coinjective))
+        report = check_at_axioms(atlas)
+        monkeypatch.undo()
+
+        touching = [
+            transition(atlas, alpha, beta).pairs
+            for alpha in sorted(atlas.indices)
+            for beta in sorted(atlas.indices)
+            if "i07" in (alpha, beta) and transition(atlas, alpha, beta)
+        ]
+        assert len(touching) == 2 * 24 - 1
+        assert examined == [pairs for pairs in touching for _ in range(2)]
+        assert report == oracle_at_axioms(atlas)
+        assert report["at3"]["witnesses"]

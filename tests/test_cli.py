@@ -21,6 +21,8 @@ PAIR_ATLAS = GOLDEN / "pair_system.atlas.json"
 BLOWUP_FLOW = GOLDEN / "blowup_flow.json"
 BLOWUP_SYSTEM = GOLDEN / "blowup_flow.system.json"
 AXIOMS_REPORT = GOLDEN / "axioms_pass.report.json"
+AXIOMS_FAIL_ATLAS = GOLDEN / "axioms_fail.atlas.json"
+AXIOMS_FAIL_REPORT = GOLDEN / "axioms_fail.report.json"
 
 BROKEN_SYMMETRY = '{"indices":["a","b"],"relations":{"a|b":[["1","0"]]}}'
 
@@ -250,6 +252,13 @@ class TestAxioms:
         assert code == 1
         report = json.loads(out)
         assert report["at2"]["pass"] is False
+
+    def test_failing_golden(self, capsys):
+        # Valid charts sharing points with a non-injective and a
+        # non-co-injective chart: at3 fails exactly in the bad rows/columns.
+        code, out, _ = run_cli(capsys, "axioms", str(AXIOMS_FAIL_ATLAS))
+        assert code == 1
+        assert out == AXIOMS_FAIL_REPORT.read_text()
 
 
 class TestFlowGen:
