@@ -9,14 +9,15 @@ carrier bijection, which ``find_isomorphism`` computes and
 
 ``check_at_axioms`` verifies the set-level fragment of the classical atlas
 axioms: carrier coverage, chart bijectivity, and transition injectivity and
-co-injectivity (domain and range hold by definition), read off the chart
-verdicts by closure.  Differentiability and openness have no finite-data
+co-injectivity (domain and range hold by definition).  By closure, only the
+bad charts' rows and columns can fail at3, and they are read through
+``transition``.  Differentiability and openness have no finite-data
 counterpart and are deliberately not claimed; the report is "set-level" only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import IndexMismatch, InvalidAtlas, NotIsomorphic, UnknownIndex
 from .relations import EMPTY, Relation, ident
@@ -46,19 +47,21 @@ class Atlas:
         return f"Atlas({self.charts!r})"
 
 
-@dataclass(frozen=True)
-class Isomorphism:
-    """A carrier bijection omega with chart2.compose(omega) == chart1
-    for every index (atlas 1's charts factor through atlas 2's)."""
+class Isomorphism(namedtuple("Isomorphism", "omega")):
+    """A carrier bijection omega with chart2.compose(omega) == chart1 for
+    every index (atlas 1's charts factor through atlas 2's).  A named tuple:
+    immutable, compared and hashed by its field, and a tuple."""
 
-    omega: Relation
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ChartViolation:
-    index: str
-    predicate: str  # "injectivity" | "co-injectivity"
-    pair: tuple
+class ChartViolation(namedtuple("ChartViolation", "index predicate pair")):
+    """A chart that is not a partial bijection: its index, the failed
+    predicate ("injectivity" | "co-injectivity") and the least conflicting
+    pair.  A named tuple: immutable, compared and hashed by its fields, and
+    a tuple whose ``index`` field shadows ``tuple.index``."""
+
+    __slots__ = ()
 
 
 def chart_violation_to_obj(violation) -> dict:
@@ -199,7 +202,8 @@ def check_at_axioms(atlas: Atlas) -> dict:
     at2: every chart is a bijection of its domain onto its image.
     at3: every transition is injective and co-injective (its domain and range
          are the charts' images of the shared domain by definition); by
-         closure, only those touching a chart at2 names are built and examined.
+         closure, only the rows and columns of the charts at2 names can
+         fail, and each of those is read through ``transition``.
 
     Failures are reported, never raised.
     """
@@ -211,25 +215,15 @@ def check_at_axioms(atlas: Atlas) -> dict:
 
     bad = {v.index for v in violations}
     transition_failures = []
-    if bad:
-        # A transition touching bad chart alpha uses only points of dom(alpha).
-        points = set().union(*(charts[alpha].domain for alpha in bad))
-        local = Atlas(
-            {
-                alpha: Relation(p for p in rel.pairs if p[0] in points)
-                for alpha, rel in charts.items()
-            }
-        )
-        for (alpha, beta), t in sorted(_transitions(local).items()):
-            if alpha not in bad and beta not in bad:
-                continue
-            failed = []
-            if not t.is_injective():
-                failed.append("injectivity")
-            if not t.is_coinjective():
-                failed.append("co-injectivity")
-            if failed:
-                transition_failures.append({"alpha": alpha, "beta": beta, "failed": failed})
+    for alpha, beta in sorted((a, b) for a in charts for b in charts if a in bad or b in bad):
+        t = transition(atlas, alpha, beta)
+        failed = []
+        if not t.is_injective():
+            failed.append("injectivity")
+        if not t.is_coinjective():
+            failed.append("co-injectivity")
+        if failed:
+            transition_failures.append({"alpha": alpha, "beta": beta, "failed": failed})
 
     return {
         "at1": {"pass": not uncovered, "witnesses": uncovered},

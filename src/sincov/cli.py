@@ -10,7 +10,8 @@ Subcommands wire the library together over JSON documents:
     flow-gen     sample a closed-form flow into a system
 
 Exit codes: 0 success / all laws hold; 1 laws violated, axiom failure, or
-not isomorphic (the payload carries witnesses); 2 malformed input or bad
+not isomorphic (the payload carries witnesses); 2 malformed input (non-UTF-8
+bytes and integer literals past Python's digit limit included) or bad
 invocation; 141 (128 + SIGPIPE, what a shell reports for a process that
 signal killed) when the reader closes stdout early, with nothing on stderr.
 Payloads go to stdout in canonical JSON (sorted keys, compact separators,
@@ -50,14 +51,14 @@ from .systems import (
 
 
 def _load(path):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    try:
+    try:  # ValueError: bad JSON, non-UTF-8 bytes, integers past the digit limit
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 

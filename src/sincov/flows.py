@@ -30,7 +30,7 @@ blow-up) appearing as genuinely strict containments.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainExceeded, KindMismatch
@@ -49,10 +49,12 @@ CONTINUOUS_KINDS = frozenset({FlowKind.TRANSLATION, FlowKind.BLOWUP})
 DISCRETE_KINDS = frozenset({FlowKind.DOUBLING, FlowKind.PERMUTATION})
 
 
-@dataclass(frozen=True)
-class FlowSpec:
-    kind: FlowKind
-    permutation: tuple = None  # sorted (element, image) items, permutation kind only
+class FlowSpec(namedtuple("FlowSpec", "kind permutation", defaults=(None,))):
+    """A flow kind and, for the permutation kind only, the sorted (element,
+    image) items of its table.  A named tuple: immutable, compared and
+    hashed by its fields, and a tuple."""
+
+    __slots__ = ()
 
     @classmethod
     def translation(cls):
@@ -78,12 +80,12 @@ class FlowSpec:
         return dict(self.permutation or ())
 
 
-@dataclass(frozen=True)
-class Seed:
-    """A Cauchy datum: the trajectory through ``value`` at time ``time``."""
+class Seed(namedtuple("Seed", "time value")):
+    """A Cauchy datum: the trajectory through ``value`` (a Fraction, or a
+    carrier label for permutation) at time ``time``.  A named tuple:
+    immutable, compared and hashed by its fields, and a tuple."""
 
-    time: Fraction
-    value: object  # Fraction for numeric kinds, carrier label for permutation
+    __slots__ = ()
 
 
 def _require_integer_times(*times):

@@ -19,8 +19,7 @@ equalities) need there to be none; ``reconstruct`` is the inverse.
 from __future__ import annotations
 
 import enum
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .atlas import Atlas, _raise_invalid, _transitions, validate_atlas
 from .errors import (
@@ -40,14 +39,12 @@ class Law(enum.Enum):
 ALL_LAWS = (Law.TRANSITIVITY, Law.SYMMETRY, Law.IDENTITY)
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(namedtuple("ViolationReport", "law indices pair")):
     """One failing containment: the law, the indices instantiating it, and a
-    pair belonging to the left side but not the right."""
+    pair belonging to the left side but not the right.  A named tuple:
+    immutable, compared and hashed by its fields, and a tuple."""
 
-    law: Law
-    indices: tuple
-    pair: tuple
+    __slots__ = ()
 
     def sort_key(self):
         return (self.law.value, self.indices, self.pair)

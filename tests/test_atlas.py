@@ -298,26 +298,35 @@ def big_atlas(rng, bad=None):
     return Atlas(charts)
 
 
+def count_calls(monkeypatch, calls, owner, *names):
+    """Patch each owner.name to append name to calls before running."""
+    for name in names:
+
+        def wrapper(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+
 class TestAtAxiomsWork:
     """at3's work is pinned by counts: the transitions it builds and the
     ones whose bijectivity it examines."""
 
     def test_valid_atlas_builds_no_transition(self, monkeypatch):
         calls = []
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(sincov.atlas, "_transitions", counted("_transitions", _transitions))
-        monkeypatch.setattr(sincov.atlas, "transition", counted("transition", transition))
-        monkeypatch.setattr(Relation, "compose", counted("compose", Relation.compose))
+        count_calls(monkeypatch, calls, sincov.atlas, "_transitions", "transition")
+        count_calls(monkeypatch, calls, Relation, "compose")
         report = check_at_axioms(big_atlas(random.Random(41)))
         assert all(section["pass"] for section in report.values())
         assert calls == []
+
+    def test_bad_chart_reads_its_row_and_column_through_transition(self, monkeypatch):
+        calls = []
+        count_calls(monkeypatch, calls, sincov.atlas, "_transitions", "transition")
+        report = check_at_axioms(big_atlas(random.Random(43), bad="i07"))
+        assert report["at3"]["witnesses"]
+        assert calls == ["transition"] * (2 * 24 - 1)
 
     def test_only_transitions_touching_the_bad_chart_are_examined(self, monkeypatch):
         atlas = big_atlas(random.Random(43), bad="i07")

@@ -86,6 +86,28 @@ class TestCheck:
         assert result.stderr.startswith("sincov: error: ")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "raw",
+        [b'{"indices": [' + b"9" * 5000 + b"]}", b"\xff\xfe{}"],
+        ids=["5000-digit-integer", "non-utf-8"],
+    )
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    def test_undecodable_input_is_malformed(self, capsys, monkeypatch, tmp_path, raw, source):
+        # Written as raw bytes, since json.dumps refuses such an integer.
+        if source == "path":
+            path = tmp_path / "doc.json"
+            path.write_bytes(raw)
+            arg = str(path)
+        else:
+            # Strict decoding, as sys.stdin has under a UTF-8 locale.
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+            arg = "-"
+        code, out, err = run_cli(capsys, "check", arg)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("sincov: error: ")
+        assert err.count("\n") == 1
+
     def test_wrong_shape(self, capsys, tmp_path):
         path = write(tmp_path, "shape.json", '{"indices":["a"],"relations":{"a":[]}}')
         code, _, err = run_cli(capsys, "check", path)

@@ -1,14 +1,31 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, keeps its
+startup import set lean, computes exactly, and its records keep their
+construction, equality, hash, immutability and repr."""
 
 import ast
+import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from sincov import Relation
+from sincov.atlas import ChartViolation, Isomorphism
+from sincov.flows import FlowKind, FlowSpec, Seed
+from sincov.systems import Law, ViolationReport
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sincov"
 
 
-def absolute_imports(path):
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+def parsed_sources():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    return [(path, ast.parse(path.read_text(encoding="utf-8"), str(path))) for path in sources]
+
+
+def absolute_imports(tree):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -16,10 +33,90 @@ def absolute_imports(path):
 
 
 def test_runtime_dependencies_stay_at_zero():
-    sources = sorted(PACKAGE.glob("*.py"))
-    assert sources
     imported = {
-        (path.name, name.partition(".")[0]) for path in sources for name in absolute_imports(path)
+        (path.name, name.partition(".")[0])
+        for path, tree in parsed_sources()
+        for name in absolute_imports(tree)
     }
     assert imported
     assert [item for item in sorted(imported) if item[1] not in sys.stdlib_module_names] == []
+
+
+def test_arithmetic_stays_exact():
+    # Fraction division is allowed; floats, complex numbers and math are not.
+    inexact = []
+    for path, tree in parsed_sources():
+        inexact += [
+            (path.name, name)
+            for name in absolute_imports(tree)
+            if name.partition(".")[0] in ("math", "cmath")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                inexact.append((path.name, node.lineno, node.value))
+            elif isinstance(node, ast.Name) and node.id == "float":
+                inexact.append((path.name, node.lineno, "float"))
+    assert inexact == []
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import sincov.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
+
+
+RECORDS = [
+    (
+        ViolationReport,
+        {"law": Law.SYMMETRY, "indices": ("a", "b"), "pair": ("0", "1")},
+        "ViolationReport(law=<Law.SYMMETRY: 'symmetry'>, indices=('a', 'b'), pair=('0', '1'))",
+    ),
+    (
+        Isomorphism,
+        {"omega": Relation([("z", "w")])},
+        "Isomorphism(omega=Relation([('z', 'w')]))",
+    ),
+    (
+        ChartViolation,
+        {"index": "a", "predicate": "injectivity", "pair": ("z", "1")},
+        "ChartViolation(index='a', predicate='injectivity', pair=('z', '1'))",
+    ),
+    (
+        FlowSpec,
+        {"kind": FlowKind.TRANSLATION, "permutation": None},
+        "FlowSpec(kind=<FlowKind.TRANSLATION: 'translation'>, permutation=None)",
+    ),
+    (
+        FlowSpec,
+        {"kind": FlowKind.PERMUTATION, "permutation": (("x", "y"), ("y", "x"))},
+        "FlowSpec(kind=<FlowKind.PERMUTATION: 'permutation'>, "
+        "permutation=(('x', 'y'), ('y', 'x')))",
+    ),
+    (
+        Seed,
+        {"time": Fraction(1, 2), "value": Fraction(-3, 7)},
+        "Seed(time=Fraction(1, 2), value=Fraction(-3, 7))",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, text",
+    RECORDS,
+    ids=["ViolationReport", "Isomorphism", "ChartViolation", "FlowSpec", "FlowSpec-table", "Seed"],
+)
+def test_record_contract(cls, fields, text):
+    record = cls(*fields.values())
+    assert record == cls(**fields)
+    assert record != cls(*(None for _ in fields))
+    assert [getattr(record, name) for name in fields] == list(fields.values())
+    assert hash(record) == hash(cls(**fields)) == hash(tuple(fields.values()))
+    assert repr(record) == text
+    for name in [*fields, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
