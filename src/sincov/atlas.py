@@ -17,10 +17,10 @@ counterpart and are deliberately not claimed; the report is "set-level" only.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 
 from .errors import IndexMismatch, InvalidAtlas, NotIsomorphic, UnknownIndex
-from .relations import EMPTY, Relation, ident
+from .relations import EMPTY, Relation
 
 
 class Atlas:
@@ -28,14 +28,14 @@ class Atlas:
     carrier support still participates in reconstruction."""
 
     def __init__(self, charts):
-        self.charts = {ident(i): rel for i, rel in dict(charts).items()}
+        self.charts = {str(i): rel for i, rel in dict(charts).items()}
 
     @property
     def indices(self) -> frozenset:
         return frozenset(self.charts)
 
     def chart(self, alpha) -> Relation:
-        alpha = ident(alpha)
+        alpha = str(alpha)
         if alpha not in self.charts:
             raise UnknownIndex(alpha)
         return self.charts[alpha]
@@ -118,12 +118,13 @@ def _transitions(atlas: Atlas) -> dict:
     for alpha, chart in atlas.charts.items():
         for z, a in chart.pairs:
             nodes.setdefault(z, []).append((alpha, a))
-    pairs = {}
+    rows = {alpha: defaultdict(set) for alpha in atlas.charts}
     for square in nodes.values():
         for alpha, a in square:
+            row = rows[alpha]
             for beta, b in square:
-                pairs.setdefault((alpha, beta), set()).add((b, a))
-    return {key: Relation(p) for key, p in pairs.items()}
+                row[beta].add((b, a))
+    return {(alpha, beta): Relation(p) for alpha, row in rows.items() for beta, p in row.items()}
 
 
 def _raise_invalid(violations):

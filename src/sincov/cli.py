@@ -16,12 +16,14 @@ invocation; 141 (128 + SIGPIPE, what a shell reports for a process that
 signal killed) when the reader closes stdout early, with nothing on stderr.
 Payloads go to stdout in canonical JSON (sorted keys, compact separators,
 one trailing newline) so identical inputs produce byte-identical outputs;
-diagnostics go to stderr.  Every file argument accepts "-" for stdin.
+diagnostics go to stderr.  Every file argument accepts "-" for stdin,
+which is decoded as strict UTF-8 under every locale, as files are.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -53,7 +55,10 @@ from .systems import (
 def _load(path):
     try:  # ValueError: bad JSON, non-UTF-8 bytes, integers past the digit limit
         if path == "-":
-            text = sys.stdin.read()
+            # Strict UTF-8 whatever the locale, untranslated as sys.stdin reads
+            # on POSIX; an in-process caller's StringIO holds text already.
+            buffer = getattr(sys.stdin, "buffer", None)
+            text = sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
         else:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
@@ -221,6 +226,10 @@ def _build_parser():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # sincov builds no reference cycles in bulk, so the cyclic collector
+    # would only re-scan its growing heap; the caller's state comes back.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except BrokenPipeError:
@@ -230,6 +239,9 @@ def main(argv=None) -> int:
     except (FormatError, UnknownIndex, OSError) as exc:
         print(f"sincov: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainExceeded, KindMismatch
-from .relations import Relation, ident
+from .relations import Relation
 from .systems import SincovSystem
 
 
@@ -70,7 +70,7 @@ class FlowSpec(namedtuple("FlowSpec", "kind permutation", defaults=(None,))):
 
     @classmethod
     def of_permutation(cls, mapping):
-        table = {ident(k): ident(v) for k, v in dict(mapping).items()}
+        table = {str(k): str(v) for k, v in dict(mapping).items()}
         if set(table) != set(table.values()):
             raise ValueError("permutation table must be a bijection of its carrier")
         return cls(FlowKind.PERMUTATION, tuple(sorted(table.items())))
@@ -114,7 +114,7 @@ def flow_eval(spec: FlowSpec, tau, alpha, a):
         return Fraction(a) * Fraction(2) ** int(tau - alpha)
 
     mapping = spec.mapping
-    a = ident(a)
+    a = str(a)
     if a not in mapping:
         return None
     orbit = [a]
@@ -142,7 +142,7 @@ def build_system(spec: FlowSpec, time_grid, seeds) -> SincovSystem:
     for seed in seeds:
         if Fraction(seed.time) not in grid_set:
             raise ValueError(f"seed time {seed.time} is not on the time grid")
-        if spec.kind is FlowKind.PERMUTATION and ident(seed.value) not in spec.mapping:
+        if spec.kind is FlowKind.PERMUTATION and str(seed.value) not in spec.mapping:
             raise ValueError(f"seed value {seed.value!r} is not in the permutation carrier")
 
     # Values by grid position, None where undefined.  The constructors

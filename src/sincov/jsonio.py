@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 
 from .atlas import Atlas, Isomorphism, chart_violation_to_obj  # re-exported with the other formats
 from .errors import FormatError
@@ -58,20 +59,25 @@ def _string_items(values, what):
 
 
 def relation_to_obj(rel: Relation) -> list:
-    return [list(pair) for pair in sorted(rel.pairs)]
+    return list(map(list, sorted(rel.pairs)))
 
 
 def relation_from_obj(obj) -> Relation:
     _require(isinstance(obj, list), "relation must be an array of pairs")
-    pairs = []
-    for entry in obj:
-        _require(
-            isinstance(entry, list) and len(entry) == 2,
-            "relation entries must be 2-element arrays",
-        )
-        _string_items(entry, "relation pair")
-        pairs.append((entry[0], entry[1]))
-    return Relation(pairs)
+    # Shapes and types checked at C speed; only when that fails does the
+    # loop run, to name the first bad entry (or pass list/str subclasses).
+    if not (
+        set(map(type, obj)) <= {list}
+        and set(map(len, obj)) <= {2}
+        and set(map(type, chain.from_iterable(obj))) <= {str}
+    ):
+        for entry in obj:
+            _require(
+                isinstance(entry, list) and len(entry) == 2,
+                "relation entries must be 2-element arrays",
+            )
+            _string_items(entry, "relation pair")
+    return Relation(obj)
 
 
 # ------------------------------------------------------------------ systems

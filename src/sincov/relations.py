@@ -18,17 +18,14 @@ composition and inverse, which the test suite exercises as a law.
 
 The ``Relation``, ``SincovSystem`` and ``Atlas`` constructors are the one
 place identifiers are normalized: they pass every element, index and
-carrier point through ``ident``, so callers need not convert first.
+carrier point through ``str``, so callers need not convert first.  ``str``
+returns an exact string unchanged; a ``str`` subclass is stored as the
+plain string of the same value and hash.
 """
 
 from __future__ import annotations
 
 from .errors import CoinjectivityViolated
-
-
-def ident(value) -> str:
-    """Canonical identifier serialization; non-strings go through str()."""
-    return value if isinstance(value, str) else str(value)
 
 
 class Relation:
@@ -37,7 +34,7 @@ class Relation:
     __slots__ = ("pairs",)
 
     def __init__(self, pairs=()):
-        self.pairs = frozenset((ident(b), ident(a)) for b, a in pairs)
+        self.pairs = frozenset((str(b), str(a)) for b, a in pairs)
 
     @classmethod
     def identity_on(cls, elements) -> "Relation":
@@ -84,7 +81,7 @@ class Relation:
             raise CoinjectivityViolated(
                 "apply() needs unique first components; relation has duplicates"
             )
-        b = ident(b)
+        b = str(b)
         for first, second in self.pairs:
             if first == b:
                 return second
@@ -92,7 +89,7 @@ class Relation:
 
     def __contains__(self, pair) -> bool:
         b, a = pair
-        return (ident(b), ident(a)) in self.pairs
+        return (str(b), str(a)) in self.pairs
 
     def __iter__(self):
         return iter(sorted(self.pairs))

@@ -27,7 +27,7 @@ from .errors import (
     PreconditionViolated,
     UnknownIndex,
 )
-from .relations import EMPTY, Relation, ident
+from .relations import EMPTY, Relation
 
 
 class Law(enum.Enum):
@@ -58,11 +58,11 @@ class SincovSystem:
     """
 
     def __init__(self, indices, relations=None):
-        self.indices = frozenset(ident(i) for i in indices)
+        self.indices = frozenset(map(str, indices))
         normalized = {}
         for key, rel in dict(relations or {}).items():
             alpha, beta = key
-            alpha, beta = ident(alpha), ident(beta)
+            alpha, beta = str(alpha), str(beta)
             for index in (alpha, beta):
                 if index not in self.indices:
                     raise UnknownIndex(index)
@@ -71,7 +71,7 @@ class SincovSystem:
         self.relations = normalized
 
     def get(self, alpha, beta) -> Relation:
-        return self.relations.get((ident(alpha), ident(beta)), EMPTY)
+        return self.relations.get((str(alpha), str(beta)), EMPTY)
 
     def __eq__(self, other) -> bool:
         return (
@@ -217,7 +217,7 @@ def solve_via_fixed_index(system: SincovSystem, gamma) -> Atlas:
     PreconditionViolated when the containments themselves fail, and
     EqualityCaseViolated with the first strict triple otherwise.
     """
-    gamma = ident(gamma)
+    gamma = str(gamma)
     if gamma not in system.indices:
         raise UnknownIndex(gamma)
 

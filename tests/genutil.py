@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from sincov import (
     ALL_LAWS,
     Atlas,
+    FormatError,
     Law,
     Relation,
     SincovSystem,
@@ -146,6 +147,30 @@ partial_bijections_st = st.lists(
 ).map(Relation)
 
 
+class Label(str):
+    """A plain str subclass: jsonio accepts it where a string is due."""
+
+
+class Pair(list):
+    """A plain list subclass: jsonio accepts it where an array is due."""
+
+
+_scalars_st = st.none() | st.booleans() | st.integers(-2, 2) | ids_st
+_good_entry_st = st.lists(ids_st, min_size=2, max_size=2)
+_entries_st = st.one_of(
+    _good_entry_st,
+    _good_entry_st.map(lambda entry: [Label(x) for x in entry]),
+    _good_entry_st.map(Pair),
+    st.lists(ids_st, max_size=3),  # wrong length, or right
+    st.lists(_scalars_st | st.lists(ids_st, max_size=1), min_size=2, max_size=2),
+    _scalars_st | st.dictionaries(ids_st, ids_st, max_size=1),  # not an array
+)
+relation_objs_st = st.lists(_entries_st, max_size=6) | _scalars_st
+"""Relation documents as ``json.loads`` or a caller might hand them over:
+good pairs mixed with wrong-length arrays, non-strings, non-arrays and
+``str``/``list`` subclasses."""
+
+
 @st.composite
 def atlases_st(draw):
     indices = draw(
@@ -263,6 +288,22 @@ def oracle_violations(system: SincovSystem, laws=None) -> list:
 
     reports.sort(key=ViolationReport.sort_key)
     return reports
+
+
+def oracle_relation_from_obj(obj) -> Relation:
+    """``jsonio.relation_from_obj`` by its definitional per-entry loop: the
+    first bad entry, in document order, names the error."""
+    if not isinstance(obj, list):
+        raise FormatError("relation must be an array of pairs")
+    pairs = []
+    for entry in obj:
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise FormatError("relation entries must be 2-element arrays")
+        for value in entry:
+            if not isinstance(value, str):
+                raise FormatError("relation pair entries must be strings")
+        pairs.append((entry[0], entry[1]))
+    return Relation(pairs)
 
 
 def oracle_strict_triple(system: SincovSystem):

@@ -1,6 +1,8 @@
 import contextlib
+import gc
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +33,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def stdin_of(text):
+    # sincov reads the bytes under sys.stdin, so a test's stdin needs a buffer.
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
 
 
 def write(tmp_path, name, text):
@@ -99,7 +106,6 @@ class TestCheck:
             path.write_bytes(raw)
             arg = str(path)
         else:
-            # Strict decoding, as sys.stdin has under a UTF-8 locale.
             monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
             arg = "-"
         code, out, err = run_cli(capsys, "check", arg)
@@ -107,6 +113,20 @@ class TestCheck:
         assert out == ""
         assert err.startswith("sincov: error: ")
         assert err.count("\n") == 1
+
+    def test_non_utf8_stdin_is_malformed_under_the_c_locale(self):
+        # The C locale gives sys.stdin surrogateescape, which would let the
+        # byte through as the id "\udcff" with exit 0.
+        result = subprocess.run(
+            [sys.executable, "-m", "sincov", "solve", "-"],
+            input=b'{"indices":["\xff"],"relations":{}}',
+            capture_output=True,
+            env={**os.environ, "LC_ALL": "C"},
+        )
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert result.stderr.startswith(b"sincov: error: -: ")
+        assert result.stderr.count(b"\n") == 1
 
     def test_wrong_shape(self, capsys, tmp_path):
         path = write(tmp_path, "shape.json", '{"indices":["a"],"relations":{"a":[]}}')
@@ -120,10 +140,16 @@ class TestCheck:
         assert "error" in err
 
     def test_stdin_dash(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(PAIR_SYSTEM.read_text()))
+        monkeypatch.setattr(sys, "stdin", stdin_of(PAIR_SYSTEM.read_text()))
         code, out, _ = run_cli(capsys, "check", "-")
         assert code == 0
         assert json.loads(out) == {"violations": []}
+
+    def test_stdin_text_stream(self, capsys, monkeypatch):
+        # An in-process caller may hand over decoded text with no bytes under it.
+        monkeypatch.setattr(sys, "stdin", io.StringIO(PAIR_SYSTEM.read_text()))
+        code, out, _ = run_cli(capsys, "check", "-")
+        assert (code, json.loads(out)) == (0, {"violations": []})
 
 
 class TestSolve:
@@ -373,7 +399,7 @@ class TestFuzz:
         # payload and exit 0 or 1, or exit 2 with one error line and no payload.
         argv, doc, path = field
         out, err, saved_stdin = io.StringIO(), io.StringIO(), sys.stdin
-        sys.stdin = io.StringIO(json.dumps(_replaced(doc, path, value)))
+        sys.stdin = stdin_of(json.dumps(_replaced(doc, path, value)))
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
@@ -387,6 +413,41 @@ class TestFuzz:
         else:
             json.loads(out.getvalue())
             assert err.getvalue() == ""
+
+
+class TestCollector:
+    def test_off_while_the_handler_runs(self, capsys, monkeypatch):
+        seen = []
+
+        def recording(atlas):
+            seen.append(gc.isenabled())
+            return sincov.systems.reconstruct(atlas)
+
+        monkeypatch.setattr(sincov.cli, "reconstruct", recording)
+        assert gc.isenabled()
+        code, out, _ = run_cli(capsys, "reconstruct", str(PAIR_ATLAS))
+        assert (code, seen) == (0, [False])
+        assert out == PAIR_SYSTEM.read_text()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["check", str(PAIR_SYSTEM)], 0),
+            (["check", str(GOLDEN / "nope.json")], 2),
+            (["axioms", str(AXIOMS_FAIL_ATLAS)], 1),
+        ],
+        ids=["success", "exit-2", "exit-1"],
+    )
+    def test_caller_state_comes_back(self, capsys, argv, expected, enabled):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code = main(argv)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        capsys.readouterr()
+        assert code == expected
 
 
 class TestOutputModes:
@@ -421,10 +482,10 @@ class TestPipeline:
         path = write(tmp_path, "flow.json", self.KINDS[kind])
         code, generated, _ = run_cli(capsys, "flow-gen", path)
         assert code == 0
-        monkeypatch.setattr(sys, "stdin", io.StringIO(generated))
+        monkeypatch.setattr(sys, "stdin", stdin_of(generated))
         code, atlas_out, _ = run_cli(capsys, "solve", "-")
         assert code == 0
-        monkeypatch.setattr(sys, "stdin", io.StringIO(atlas_out))
+        monkeypatch.setattr(sys, "stdin", stdin_of(atlas_out))
         code, rebuilt, _ = run_cli(capsys, "reconstruct", "-")
         assert code == 0
         assert rebuilt == generated

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from genutil import atlases_st, valid_systems_st
+from genutil import atlases_st, oracle_relation_from_obj, relation_objs_st, valid_systems_st
 from sincov import Atlas, FlowKind, FormatError, Isomorphism, Relation, SincovSystem
 from sincov.jsonio import (
     atlas_from_obj,
@@ -54,6 +54,41 @@ class TestRelationFormat:
     def test_malformed(self, bad):
         with pytest.raises(FormatError):
             relation_from_obj(bad)
+
+    ENTRY = "relation entries must be 2-element arrays"
+    PAIR = "relation pair entries must be strings"
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"0": "1"}, "relation must be an array of pairs"),
+            ([["a", "b"], [0, "1"], ["a"]], PAIR),
+            ([["a", "b"], ["a"], [0, "1"]], ENTRY),
+            ([["01"], [["0", "1", "2"]]], ENTRY),
+            ([["0", "1"], "01", [["0", "1", "2"]]], ENTRY),
+            ([["0", "1"], ["0", ["1"]], ["0", "1", "2"]], PAIR),
+            ([["0", "1"], ["0", None]], PAIR),
+            ([["0", "1"], [], ["x", "y"]], ENTRY),
+            ([["0", "1"], {"0": "1"}], ENTRY),
+            ([[True, "1"], ["0"]], PAIR),
+        ],
+    )
+    def test_first_bad_entry_is_named(self, bad, message):
+        with pytest.raises(FormatError) as excinfo:
+            relation_from_obj(bad)
+        assert str(excinfo.value) == message
+
+    @given(relation_objs_st)
+    @settings(max_examples=300)
+    def test_matches_the_entry_loop(self, obj):
+        try:
+            expected = oracle_relation_from_obj(obj)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as excinfo:
+                relation_from_obj(obj)
+            assert str(excinfo.value) == str(exc)
+        else:
+            assert relation_from_obj(obj) == expected
 
 
 class TestSystemFormat:

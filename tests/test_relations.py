@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 
-from genutil import partial_bijections_st, relations_st
-from sincov import EMPTY, CoinjectivityViolated, Relation
+from genutil import Label, partial_bijections_st, relations_st
+from sincov import EMPTY, Atlas, CoinjectivityViolated, Relation, SincovSystem
 
 
 def brute_compose(rho, sigma):
@@ -172,3 +174,26 @@ class TestContainer:
 
     def test_hashable(self):
         assert len({Relation([(0, 1)]), Relation([("0", "1")])}) == 1
+
+
+class TestNormalization:
+    # The constructors and lookups pass identifiers through str.
+    def test_non_strings_are_stringified(self):
+        assert Relation([(1, Fraction(1, 2))]) == Relation([("1", "1/2")])
+
+    def test_system_and_atlas_key_by_string(self):
+        system = SincovSystem([0], {(0, 0): Relation([(1, 1)])})
+        assert system.indices == {"0"}
+        assert set(system.relations) == {("0", "0")}
+        assert system.get(0, 0) == Relation([("1", "1")])
+        atlas = Atlas({0: Relation([("z", 1)])})
+        assert list(atlas.charts) == ["0"]
+        assert atlas.chart(0) is atlas.charts["0"]
+
+    def test_str_subclass_is_stored_as_its_plain_string(self):
+        rel = Relation([(Label("a"), Label("b"))])
+        assert rel == Relation([("a", "b")])
+        assert hash(rel) == hash(Relation([("a", "b")]))
+        assert [type(x) for pair in rel.pairs for x in pair] == [str, str]
+        assert (Label("a"), "b") in rel
+        assert rel.apply(Label("a")) == "b"
