@@ -19,8 +19,12 @@ composition and inverse, which the test suite exercises as a law.
 The ``Relation``, ``SincovSystem`` and ``Atlas`` constructors are the one
 place identifiers are normalized: they pass every element, index and
 carrier point through ``str``, so callers need not convert first.  ``str``
-returns an exact string unchanged; a ``str`` subclass is stored as the
-plain string of the same value and hash.
+returns an exact string unchanged, and any other value ``x`` is stored as
+``str(x)``.  For a ``str`` subclass that keeps ``str.__str__`` that is the
+plain string of the same value and hash; a subclass that overrides
+``__str__`` is stored as that text, so a ``(str, Enum)`` member ``K.A``
+with value ``"a"`` becomes ``"K.A"``, not ``"a"``.  Pass ``K.A.value``
+to key by the value.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+from enum import Enum
 from fractions import Fraction
 
 import pytest
@@ -197,3 +198,16 @@ class TestNormalization:
         assert [type(x) for pair in rel.pairs for x in pair] == [str, str]
         assert (Label("a"), "b") in rel
         assert rel.apply(Label("a")) == "b"
+
+    def test_str_subclass_overriding_str_is_stored_as_that_text(self):
+        # str(x), not the value: a (str, Enum) member becomes "K.A".
+        class K(str, Enum):
+            A = "a"
+
+        assert str(K.A) == "K.A"
+        rel = Relation([(K.A, "b")])
+        assert rel == Relation([("K.A", "b")])
+        assert rel != Relation([("a", "b")])
+        assert rel.apply(K.A) == "b"
+        assert list(Atlas({K.A: rel}).charts) == ["K.A"]
+        assert SincovSystem([K.A], {}).indices == {"K.A"}
