@@ -11,9 +11,10 @@ Subcommands wire the library together over JSON documents:
 
 Exit codes: 0 success / all laws hold; 1 laws violated, axiom failure, or
 not isomorphic (the payload carries witnesses); 2 malformed input (non-UTF-8
-bytes and integer literals past Python's digit limit included) or bad
-invocation; 141 (128 + SIGPIPE, what a shell reports for a process that
-signal killed) when the reader closes stdout early, with nothing on stderr.
+bytes and integer literals past Python's digit limit included), bad
+invocation, or a closed standard stream (stdout, or stdin read as "-");
+141 (128 + SIGPIPE, what a shell reports for a process that signal
+killed) when the reader closes stdout early, with nothing on stderr.
 Payloads go to stdout in canonical JSON (sorted keys, compact separators,
 one trailing newline) so identical inputs produce byte-identical outputs;
 diagnostics go to stderr.  Every file argument accepts "-" for stdin,
@@ -55,6 +56,8 @@ from .systems import (
 def _load(path):
     try:  # ValueError: bad JSON, non-UTF-8 bytes, integers past the digit limit
         if path == "-":
+            if sys.stdin is None:  # fd 0 was closed when the interpreter started
+                raise OSError("-: standard input is closed")
             # Strict UTF-8 whatever the locale, untranslated as sys.stdin reads
             # on POSIX; an in-process caller's StringIO holds text already.
             buffer = getattr(sys.stdin, "buffer", None)
@@ -65,11 +68,6 @@ def _load(path):
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: {exc}") from None
-
-
-def _emit(payload, pretty):
-    # Flushed here, so a closed pipe fails inside main, not at interpreter exit.
-    print(jsonio.pretty_dumps(payload) if pretty else jsonio.canonical_dumps(payload), flush=True)
 
 
 def _parse_laws(text):
@@ -95,8 +93,7 @@ def _violations_payload(reports):
 def _cmd_check(args):
     system = jsonio.system_from_obj(_load(args.file))
     reports = check_sincov(system, args.laws)
-    _emit(_violations_payload(reports), args.pretty)
-    return 0 if not reports else 1
+    return _violations_payload(reports), 0 if not reports else 1
 
 
 def _cmd_solve(args):
@@ -107,31 +104,25 @@ def _cmd_solve(args):
         else:
             atlas = solve_via_fixed_index(system, args.gamma)
     except PreconditionViolated as exc:
-        _emit(_violations_payload(exc.reports), args.pretty)
-        return 1
+        return _violations_payload(exc.reports), 1
     except EqualityCaseViolated as exc:
-        _emit({"error": "equality-case-violated", "witness": list(exc.witness)}, args.pretty)
-        return 1
-    _emit(jsonio.atlas_to_obj(atlas), args.pretty)
-    return 0
+        return {"error": "equality-case-violated", "witness": list(exc.witness)}, 1
+    return jsonio.atlas_to_obj(atlas), 0
 
 
 def _cmd_reconstruct(args):
     atlas = jsonio.atlas_from_obj(_load(args.file))
     try:  # serialized here, so the system is freed before the JSON text is built
-        payload, code = jsonio.system_to_obj(reconstruct(atlas)), 0
+        return jsonio.system_to_obj(reconstruct(atlas)), 0
     except InvalidAtlas as exc:
-        payload = {"chart_violations": [jsonio.chart_violation_to_obj(v) for v in exc.violations]}
-        code = 1
-    _emit(payload, args.pretty)
-    return code
+        return {"chart_violations": [jsonio.chart_violation_to_obj(v) for v in exc.violations]}, 1
 
 
 def _cmd_iso(args):
     a1 = jsonio.atlas_from_obj(_load(args.first))
     a2 = jsonio.atlas_from_obj(_load(args.second))
     try:
-        iso = find_isomorphism(a1, a2)
+        return jsonio.isomorphism_to_obj(find_isomorphism(a1, a2)), 0
     except IndexMismatch as exc:
         payload = {
             "error": "index-mismatch",
@@ -148,18 +139,13 @@ def _cmd_iso(args):
             "pair": list(exc.pair),
             "present_in": exc.present_in,
         }
-    else:
-        _emit(jsonio.isomorphism_to_obj(iso), args.pretty)
-        return 0
-    _emit(payload, args.pretty)
-    return 1
+    return payload, 1
 
 
 def _cmd_axioms(args):
     atlas = jsonio.atlas_from_obj(_load(args.file))
     report = check_at_axioms(atlas)
-    _emit(report, args.pretty)
-    return 0 if all(section["pass"] for section in report.values()) else 1
+    return report, 0 if all(section["pass"] for section in report.values()) else 1
 
 
 def _cmd_flow_gen(args):
@@ -168,8 +154,7 @@ def _cmd_flow_gen(args):
         system = build_system(spec, grid, seeds)
     except (KindMismatch, ValueError) as exc:
         raise FormatError(str(exc)) from None
-    _emit(jsonio.system_to_obj(system), args.pretty)
-    return 0
+    return jsonio.system_to_obj(system), 0
 
 
 def _build_parser():
@@ -231,7 +216,13 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.handler(args)
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise OSError("standard output is closed")
+        payload, code = args.handler(args)
+        dumps = jsonio.pretty_dumps if args.pretty else jsonio.canonical_dumps
+        # Flushed here, so a closed pipe fails inside main, not at interpreter exit.
+        print(dumps(payload), flush=True)
+        return code
     except BrokenPipeError:
         # Point stdout at devnull so the flush at interpreter exit stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -22,9 +22,11 @@ irrational on rational grids; ``doubling`` plays the analogous total,
 invertible role in the discrete setting.
 
 ``build_system`` samples whole trajectories on a time grid, never single
-applications of F; that closure is what makes the generated systems
-satisfy all three transition-relation laws exactly, with partiality (from
-blow-up) appearing as genuinely strict containments.
+applications of F.  Each trajectory is one carrier point, whose element in
+the chart at grid time t is its value there, so a flow system is the system
+its trajectory atlas generates: it satisfies all three transition-relation
+laws exactly, with partiality (from blow-up) appearing as genuinely strict
+containments.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import enum
 from collections import namedtuple
 from fractions import Fraction
 
+from .atlas import Atlas, _transitions
 from .errors import DomainExceeded, KindMismatch
 from .relations import Relation
 from .systems import SincovSystem
@@ -126,13 +129,13 @@ def flow_eval(spec: FlowSpec, tau, alpha, a):
 
 
 def build_system(spec: FlowSpec, time_grid, seeds) -> SincovSystem:
-    """The transition-relation system of the seeds' trajectories on a grid.
+    """The system that the seeds' trajectory atlas generates on a grid.
 
-    Indices are the grid times; for every trajectory and every ordered grid
-    pair (alpha, beta) at which it is defined, Phi[alpha, beta] gains the
-    pair (value at beta, value at alpha).  Seeds on a common trajectory
-    merge; trajectories cut short by blow-up leave the corresponding
-    entries strictly partial.  The output always passes ``check_sincov``.
+    Indices are the grid times; each trajectory is a carrier point, in the
+    chart at time t wherever it is defined there, with its value at t.  Seeds
+    on a common trajectory merge; trajectories cut short by blow-up leave
+    the corresponding entries strictly partial.  The output always passes
+    ``check_sincov``.
     """
     grid = sorted({Fraction(t) for t in time_grid})
     if spec.kind in DISCRETE_KINDS:
@@ -145,22 +148,16 @@ def build_system(spec: FlowSpec, time_grid, seeds) -> SincovSystem:
         if spec.kind is FlowKind.PERMUTATION and str(seed.value) not in spec.mapping:
             raise ValueError(f"seed value {seed.value!r} is not in the permutation carrier")
 
-    # Values by grid position, None where undefined.  The constructors
-    # stringify them and drop merged seeds' duplicates; str is injective on
-    # reduced fractions, so nothing merges that Fraction equality keeps apart.
+    # Values by grid position, None where undefined.  The charts stringify
+    # each value once; str is injective on reduced fractions, so nothing
+    # merges that Fraction equality keeps apart.  Merged seeds make a chart
+    # non-injective, which ``_transitions`` allows and ``reconstruct`` rejects.
     trajectories = [[flow_eval(spec, t, seed.time, seed.value) for t in grid] for seed in seeds]
-    return SincovSystem(
-        grid,
-        {
-            (t_out, t_in): Relation(
-                (traj[j], traj[i])
-                for traj in trajectories
-                if traj[i] is not None and traj[j] is not None
-            )
-            for i, t_out in enumerate(grid)
-            for j, t_in in enumerate(grid)
-        },
-    )
+    charts = {
+        t: Relation((z, traj[i]) for z, traj in enumerate(trajectories) if traj[i] is not None)
+        for i, t in enumerate(grid)
+    }
+    return SincovSystem(grid, _transitions(Atlas(charts)))
 
 
 def vector_field_residual(spec: FlowSpec, tau, x, h) -> Fraction:

@@ -5,13 +5,14 @@ the big seeded acceptance loops, and hypothesis strategies for the law
 tests.  Valid systems are always produced by reconstructing a random
 atlas (optionally thinned), which is the one construction guaranteed to
 satisfy all three laws.  The definitional loops live here too, as the
-oracles that the library's quotient certificate and its one-pass atlas
-transitions are checked against.
+oracles that the library's quotient certificate, its one-pass atlas
+transitions and its flow sampling are checked against.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ from sincov import (
     SincovSystem,
     ViolationReport,
     carrier,
+    flow_eval,
     reconstruct,
     transition,
     validate_atlas,
@@ -52,10 +54,11 @@ def random_atlas(rng: random.Random, max_indices=6, max_points=6, max_elements=1
 
 def thin_atlas(rng: random.Random, atlas: Atlas, keep=0.75) -> Atlas:
     """Drop random chart pairs.  Sub-atlases stay valid, and reconstructing
-    one deletes system pairs in a law-consistent way."""
+    one deletes system pairs in a law-consistent way.  The pairs are drawn
+    in sorted order, so a seeded rng thins alike under every hash seed."""
     return Atlas(
         {
-            alpha: Relation(p for p in rel.pairs if rng.random() < keep)
+            alpha: Relation(p for p in sorted(rel.pairs) if rng.random() < keep)
             for alpha, rel in atlas.charts.items()
         }
     )
@@ -354,3 +357,23 @@ def oracle_at_axioms(atlas: Atlas) -> dict:
         "at2": {"pass": not chart_violations, "witnesses": chart_violations},
         "at3": {"pass": not transition_failures, "witnesses": transition_failures},
     }
+
+
+def oracle_build_system(spec, time_grid, seeds) -> SincovSystem:
+    """``build_system`` on valid input by the definitional comprehension:
+    for every trajectory and every ordered grid pair (t_out, t_in) at which
+    it is defined, Phi[t_out, t_in] gains (value at t_in, value at t_out)."""
+    grid = sorted({Fraction(t) for t in time_grid})
+    trajectories = [[flow_eval(spec, t, seed.time, seed.value) for t in grid] for seed in seeds]
+    return SincovSystem(
+        grid,
+        {
+            (t_out, t_in): Relation(
+                (traj[j], traj[i])
+                for traj in trajectories
+                if traj[i] is not None and traj[j] is not None
+            )
+            for i, t_out in enumerate(grid)
+            for j, t_in in enumerate(grid)
+        },
+    )

@@ -501,25 +501,48 @@ class TestSubprocessEntryPoints:
         assert result.returncode == 0
         assert json.loads(result.stdout) == {"violations": []}
 
-    def test_shell_pipeline(self):
+    @pytest.mark.parametrize("hash_seed", ["0", "1"])
+    def test_shell_pipeline(self, hash_seed):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
         generated = subprocess.run(
             [sys.executable, "-m", "sincov", "flow-gen", str(BLOWUP_FLOW)],
             capture_output=True,
             check=True,
+            env=env,
         ).stdout
         solved = subprocess.run(
             [sys.executable, "-m", "sincov", "solve", "-"],
             input=generated,
             capture_output=True,
             check=True,
+            env=env,
         ).stdout
         rebuilt = subprocess.run(
             [sys.executable, "-m", "sincov", "reconstruct", "-"],
             input=solved,
             capture_output=True,
             check=True,
+            env=env,
         ).stdout
         assert rebuilt == generated == BLOWUP_SYSTEM.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, fd",
+        [(["check", "-"], 0), (["check", str(PAIR_SYSTEM)], 1)],
+        ids=["closed-stdin", "closed-stdout"],
+    )
+    def test_closed_standard_stream_is_an_error(self, argv, fd):
+        # The child starts with the fd closed, so Python sets that stream to None.
+        result = subprocess.run(
+            [sys.executable, "-m", "sincov", *argv],
+            stdout=subprocess.PIPE if fd == 0 else None,
+            stderr=subprocess.PIPE,
+            preexec_fn=lambda: os.close(fd),
+        )
+        assert result.returncode == 2
+        assert not result.stdout
+        lines = result.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("sincov: error: ")
 
     def test_broken_pipe_exits_quietly(self, tmp_path):
         # About 115 KiB of output, more than a pipe and a read buffer hold, so

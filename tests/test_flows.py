@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from genutil import oracle_build_system
 from sincov import (
     DomainExceeded,
     FlowKind,
@@ -203,6 +204,7 @@ class TestBuildSystem:
         ]
         system = build_system(spec, grid, seeds)
         assert check_sincov(system) == []
+        assert system == oracle_build_system(spec, grid, seeds)
 
 
 class TestVectorFieldResidual:
