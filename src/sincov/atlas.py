@@ -126,7 +126,11 @@ def _transitions(atlas: Atlas) -> dict:
             row = rows[alpha]
             for beta, b in square:
                 row[beta].add((b, a))
-    return {(alpha, beta): Relation(p) for alpha, row in rows.items() for beta, p in row.items()}
+    return {  # exact pairs already: they are read off normalized charts
+        (alpha, beta): Relation._of(frozenset(pairs))
+        for alpha, row in rows.items()
+        for beta, pairs in row.items()
+    }
 
 
 def _raise_invalid(violations):

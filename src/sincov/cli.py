@@ -18,7 +18,9 @@ killed) when the reader closes stdout early, with nothing on stderr.
 Payloads go to stdout in canonical JSON (sorted keys, compact separators,
 one trailing newline) so identical inputs produce byte-identical outputs;
 diagnostics go to stderr.  Every file argument accepts "-" for stdin,
-which is decoded as strict UTF-8 under every locale, as files are.
+which is decoded as strict UTF-8 under every locale, as files are.  Stdin
+is read at most once, so repeated "-" arguments name the same document:
+``sincov iso - -`` compares the atlas on stdin with itself.
 """
 
 from __future__ import annotations
@@ -120,7 +122,8 @@ def _cmd_reconstruct(args):
 
 def _cmd_iso(args):
     a1 = jsonio.atlas_from_obj(_load(args.first))
-    a2 = jsonio.atlas_from_obj(_load(args.second))
+    # Stdin is read once: every "-" names that one document, as in ``diff - -``.
+    a2 = a1 if args.first == args.second == "-" else jsonio.atlas_from_obj(_load(args.second))
     try:
         return jsonio.isomorphism_to_obj(find_isomorphism(a1, a2)), 0
     except IndexMismatch as exc:

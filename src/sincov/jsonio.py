@@ -35,12 +35,13 @@ from .systems import SincovSystem
 KEY_SEPARATOR = "|"
 
 
+# Payloads are trees that sincov builds, so a cycle scan could never fire.
 def canonical_dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def pretty_dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return json.dumps(payload, sort_keys=True, indent=2, check_circular=False)
 
 
 def _require(condition, message):
@@ -64,19 +65,21 @@ def relation_to_obj(rel: Relation) -> list:
 
 def relation_from_obj(obj) -> Relation:
     _require(isinstance(obj, list), "relation must be an array of pairs")
-    # Shapes and types checked at C speed; only when that fails does the
-    # loop run, to name the first bad entry (or pass list/str subclasses).
-    if not (
+    # Shapes and types checked at C speed, so the exact pairs need no
+    # normalizing; only when that fails does the loop run, to name the
+    # first bad entry (or pass list/str subclasses on to the constructor).
+    if (
         set(map(type, obj)) <= {list}
         and set(map(len, obj)) <= {2}
         and set(map(type, chain.from_iterable(obj))) <= {str}
     ):
-        for entry in obj:
-            _require(
-                isinstance(entry, list) and len(entry) == 2,
-                "relation entries must be 2-element arrays",
-            )
-            _string_items(entry, "relation pair")
+        return Relation._of(frozenset(map(tuple, obj)))
+    for entry in obj:
+        _require(
+            isinstance(entry, list) and len(entry) == 2,
+            "relation entries must be 2-element arrays",
+        )
+        _string_items(entry, "relation pair")
     return Relation(obj)
 
 

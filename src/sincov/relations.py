@@ -25,6 +25,12 @@ plain string of the same value and hash; a subclass that overrides
 ``__str__`` is stored as that text, so a ``(str, Enum)`` member ``K.A``
 with value ``"a"`` becomes ``"K.A"``, not ``"a"``.  Pass ``K.A.value``
 to key by the value.
+
+Two internal sites hold exact pairs already and skip that pass through
+the private ``Relation._of``: ``jsonio.relation_from_obj``, once its
+C-level checks have found two-element lists of exact ``str`` (all that
+JSON text parses to), and ``atlas._transitions``, whose pairs are read
+off charts that a constructor normalized.
 """
 
 from __future__ import annotations
@@ -39,6 +45,13 @@ class Relation:
 
     def __init__(self, pairs=()):
         self.pairs = frozenset((str(b), str(a)) for b, a in pairs)
+
+    @classmethod
+    def _of(cls, pairs: frozenset) -> "Relation":
+        """``pairs``, a frozenset of exact (str, str) tuples, stored as given."""
+        rel = cls.__new__(cls)
+        rel.pairs = pairs
+        return rel
 
     @classmethod
     def identity_on(cls, elements) -> "Relation":

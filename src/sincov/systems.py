@@ -9,17 +9,22 @@ under test are the Sincov-type inequalities
     identity:      Phi[a,a]             is contained in  the identity
 
 A system obeys them iff an atlas of partial bijections generates it.
-``_quotient`` is the one mechanism behind that: its classes of nodes
-(index, element) are the carrier points, ``check_sincov`` reads every
-violation off its faulty classes, and ``solve_atlas`` and
-``solve_via_fixed_index`` (the group case, where all containments are
-equalities) need there to be none; ``reconstruct`` is the inverse.
+``_quotient`` is the one mechanism behind that.  It labels every node
+(index, element) with its class and reads the relations a whole relation
+at a time; a pair whose two ends carry different labels merges their
+classes by relabeling the smaller one.  The classes are the carrier
+points, ``check_sincov`` reads every violation off the faulty ones, and
+``solve_atlas`` and ``solve_via_fixed_index`` (the group case, where all
+containments are equalities) need there to be none; ``reconstruct`` is
+the inverse.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
+from itertools import chain, compress, repeat, starmap, tee
+from operator import itemgetter, ne
 
 from .atlas import Atlas, _raise_invalid, _transitions, validate_atlas
 from .errors import (
@@ -85,40 +90,52 @@ class SincovSystem:
 
 
 def _quotient(system: SincovSystem):
-    """Union-find classes of the nodes (index, element), and the faulty ones.
+    """Labeled classes of the nodes (index, element), and the faulty ones.
 
     A pair (b, a) in Phi[alpha, beta] is the edge (beta, b) -> (alpha, a)
-    inside one class.  A class is faulty iff it has fewer than |C|^2 edges
-    or two nodes at one index; every law holds inside the other classes, so
-    the system is lawful iff none is faulty, and then the classes are the
-    carrier points of a generating atlas.
+    inside one class.  ``label[index][element]`` names a node's class by
+    one of its nodes.  The labels at both ends of every pair are read at C
+    speed, each only once every earlier merge is done, so just the pairs
+    that join two classes reach Python; each relabels the smaller class,
+    so N nodes take at most N log N relabels.  A class is faulty iff it has
+    fewer than |C|^2 edges or two nodes at one index; every law holds inside
+    the other classes, so the system is lawful iff none is faulty, and then
+    the classes are the carrier points of a generating atlas.  A lone node
+    is never faulty: its one edge is its self-loop.
     """
-    parent = {}
-
-    def find(node):
-        parent.setdefault(node, node)
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]  # path halving
-            node = parent[node]
-        return node
-
+    label, elements = defaultdict(dict), defaultdict(set)
+    heads, tails = [], []  # per relation: (label lookup, elements) at beta, at alpha
     for (alpha, beta), rel in system.relations.items():
-        for b, a in rel.pairs:
-            parent[find((alpha, a))] = find((beta, b))
+        firsts, seconds = zip(*rel.pairs)
+        elements[beta].update(firsts)
+        elements[alpha].update(seconds)
+        heads.append((label[beta].__getitem__, firsts))
+        tails.append((label[alpha].__getitem__, seconds))
+    for index, column in elements.items():
+        label[index].update(zip(column, zip(repeat(index), column)))
 
-    root = {node: find(node) for node in parent}
-    classes = {}
-    for node, top in root.items():
-        classes.setdefault(top, []).append(node)
-    edges = Counter()
-    for (_, beta), rel in system.relations.items():
-        edges.update(root[(beta, b)] for b, _ in rel.pairs)
+    def read(ends):  # each label is read when it is pulled, after every earlier merge
+        return chain.from_iterable(starmap(map, ends))
+
+    merged = {}  # class label -> its nodes, for classes of two or more
+    (keeps, keeps_again), (drops, drops_again) = tee(read(heads)), tee(read(tails))
+    for keep, drop in compress(zip(keeps, drops), map(ne, keeps_again, drops_again)):
+        kept, dropped = merged.pop(keep, [keep]), merged.pop(drop, [drop])
+        if len(kept) < len(dropped):
+            keep, kept, dropped = drop, dropped, kept
+        for index, element in dropped:
+            label[index][element] = keep
+        kept += dropped
+        merged[keep] = kept
+
+    edges = Counter(read(heads))
     faulty = [
         c
-        for top, c in classes.items()
-        if edges[top] < len(c) ** 2 or len({index for index, _ in c}) < len(c)
+        for top, c in merged.items()
+        if edges[top] < len(c) ** 2 or len(set(map(itemgetter(0), c))) < len(c)
     ]
-    return list(classes.values()), faulty
+    singles = set(chain.from_iterable(map(dict.values, label.values()))).difference(merged)
+    return [*merged.values(), *zip(singles)], faulty
 
 
 def _violations(system: SincovSystem, faulty, laws) -> list:

@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genutil import (
+    Label,
     atlases_st,
     corrupted_atlases_st,
     mutate_atlas,
@@ -101,6 +102,16 @@ class TestTransition:
             for beta in atlas.indices:
                 assert transitions.get((alpha, beta), EMPTY) == transition(atlas, alpha, beta)
         assert all(transitions.values())
+
+    @given(st.one_of(atlases_st(), raw_atlases_st()))
+    @example(Atlas({"a": Relation([(Label("z"), Label("0")), (1, 2)]), 3: Relation([("z", 4)])}))
+    @settings(max_examples=100)
+    def test_transitions_hold_exact_strings(self, atlas):
+        # The chart constructors normalize, so the pairs read off them are exact.
+        for rel in _transitions(atlas).values():
+            assert all(type(pair) is tuple and len(pair) == 2 for pair in rel.pairs)
+            assert all(type(x) is str for pair in rel.pairs for x in pair)
+            assert rel == Relation(rel.pairs)
 
 
 class TestCarrier:

@@ -260,6 +260,14 @@ class TestIso:
         assert code == 0
         assert json.loads(out) == {"omega": [["cls:a:0", "cls:a:0"]]}
 
+    def test_repeated_dash_names_one_document(self, capsys, monkeypatch):
+        # Stdin is read once per call, and every "-" is that document.
+        documents = ((PAIR_ATLAS.read_text(), "cls:a:0"), ('{"charts":{"a":[["z","0"]]}}', "z"))
+        for text, point in documents:
+            monkeypatch.setattr(sys, "stdin", stdin_of(text))
+            code, out, err = run_cli(capsys, "iso", "-", "-")
+            assert (code, json.loads(out), err) == (0, {"omega": [[point, point]]}, "")
+
     def test_not_isomorphic(self, capsys, tmp_path):
         other = write(tmp_path, "other.json", '{"charts":{"a":[],"b":[]}}')
         code, out, _ = run_cli(capsys, "iso", str(PAIR_ATLAS), other)

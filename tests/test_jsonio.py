@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from genutil import atlases_st, oracle_relation_from_obj, relation_objs_st, valid_systems_st
+from genutil import (
+    Label,
+    atlases_st,
+    oracle_relation_from_obj,
+    relation_objs_st,
+    valid_systems_st,
+)
 from sincov import Atlas, FlowKind, FormatError, Isomorphism, Relation, SincovSystem
 from sincov.jsonio import (
     atlas_from_obj,
@@ -89,6 +95,23 @@ class TestRelationFormat:
             assert str(excinfo.value) == str(exc)
         else:
             assert relation_from_obj(obj) == expected
+
+
+    @given(relation_objs_st)
+    @settings(max_examples=300)
+    def test_pairs_are_exact_strings(self, obj):
+        try:
+            rel = relation_from_obj(obj)
+        except FormatError:
+            return
+        assert all(type(pair) is tuple and len(pair) == 2 for pair in rel.pairs)
+        assert all(type(x) is str for pair in rel.pairs for x in pair)
+        assert rel == Relation(map(tuple, obj))
+
+    def test_str_subclass_is_stored_as_str(self):
+        rel = relation_from_obj([[Label("a"), "b"], ["c", "d"]])
+        assert rel.pairs == {("a", "b"), ("c", "d")}
+        assert [type(x) for pair in sorted(rel.pairs) for x in pair] == [str] * 4
 
 
 class TestSystemFormat:

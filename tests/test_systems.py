@@ -1,7 +1,8 @@
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genutil import (
@@ -31,6 +32,7 @@ from sincov import (
     solve_via_fixed_index,
     validate_atlas,
 )
+from sincov.systems import _quotient
 
 
 def pair_system():
@@ -212,6 +214,19 @@ def connected_components(system):
     return components
 
 
+def faulty_components(system):
+    """The components that fail the definitional count: fewer than |C|^2
+    edges, or two nodes at one index."""
+    components = connected_components(system)
+    component_of = {node: c for c in components for node in c}
+    edges = Counter(
+        component_of[(beta, b)] for (_, beta), rel in system.relations.items() for b, _ in rel.pairs
+    )
+    return {
+        c for c in components if edges[c] < len(c) ** 2 or len({i for i, _ in c}) < len(c)
+    }
+
+
 def atlas_partition(atlas):
     """Carrier point -> the nodes (index, element) the charts send it to."""
     classes = {}
@@ -372,8 +387,61 @@ class TestSolveViaFixedIndex:
 laws_st = st.one_of(st.none(), st.sets(st.sampled_from(ALL_LAWS), min_size=1))
 
 
+class CountedHash(str):
+    """An element that counts how often it is hashed: one count per set or
+    dict operation on it or on a node holding it."""
+
+    calls = 0
+
+    def __hash__(self):
+        CountedHash.calls += 1
+        return str.__hash__(self)
+
+
+def cycle_closing_system():
+    # Phi[b, a] joins (a, 0) and (a, 4) first, so the chain in Phi[a, a]
+    # closes a cycle: in whatever order its pairs are read, labels change
+    # between them, and the last one finds both ends in one class.
+    chain_pairs = [("0", "1"), ("1", "2"), ("2", "3"), ("3", "4")]
+    return SincovSystem(
+        ["a", "b"],
+        {
+            ("b", "a"): Relation([("0", "0"), ("4", "0")]),
+            ("a", "a"): Relation(chain_pairs),
+        },
+    )
+
+
 class TestQuotientAgainstOracle:
     """The quotient certificate must reproduce the definitional loops."""
+
+    @given(st.one_of(valid_systems_st, mutated_systems_st()))
+    @example(cycle_closing_system())
+    @settings(max_examples=300)
+    def test_classes_are_the_components(self, system):
+        # Sorted member lists, so a class holding a node twice shows too.
+        classes, faulty = _quotient(system)
+        assert sorted(map(sorted, classes)) == sorted(map(sorted, connected_components(system)))
+        assert sorted(map(sorted, faulty)) == sorted(map(sorted, faulty_components(system)))
+
+    def test_relabels_inside_one_relation(self):
+        system = cycle_closing_system()
+        classes, faulty = _quotient(system)
+        nodes = sorted({("a", str(k)) for k in range(5)} | {("b", "0")})
+        assert list(map(sorted, classes)) == list(map(sorted, faulty)) == [nodes]
+
+    def test_relabels_the_smaller_class(self):
+        # A star: each pair joins a lone node to the hub's growing class.
+        # Relabeling the smaller class costs one write per merge; relabeling
+        # the larger would cost the hub's whole class, n^2 / 2 in all.
+        n = 400
+        hub = CountedHash("0")
+        star = Relation._of(frozenset((CountedHash(f"x{k}"), hub) for k in range(n)))
+        system = SincovSystem(["a", "b"], {("a", "b"): star})
+        CountedHash.calls = 0
+        classes, faulty = _quotient(system)
+        assert len(classes) == len(faulty) == 1 and len(classes[0]) == n + 1
+        assert CountedHash.calls < 30 * n
 
     @given(st.one_of(valid_systems_st, mutated_systems_st()), laws_st)
     @settings(max_examples=300)
