@@ -6,9 +6,9 @@ into executable algebra:
 
 * :mod:`sincov.relations` -- finite relations with composition, inverse,
   and the injectivity / co-injectivity predicates.
-* :mod:`sincov.systems` -- indexed systems, the law checker, the
-  union-find atlas solver, exact reconstruction, and the group-case
-  fixed-index solver.
+* :mod:`sincov.systems` -- indexed systems, the law checker, the atlas
+  solver by a class-label quotient, exact reconstruction, and the
+  group-case fixed-index solver.
 * :mod:`sincov.atlas` -- atlas validation, transition relations, carrier
   isomorphisms, and set-level atlas axioms.
 * :mod:`sincov.flows` -- exactly-solvable rational flows that generate

@@ -7,6 +7,11 @@ chart_beta^-1``; two atlases generating the same family differ exactly by a
 carrier bijection, which ``find_isomorphism`` computes and
 ``verify_isomorphism`` checks.
 
+Two builders read whole transition families off the carrier points.
+``_transitions`` builds ``Relation``s for any atlas, valid or not;
+``_transition_rows`` writes a valid atlas's transitions as sorted wire
+rows, which ``sincov reconstruct`` emits without building a system.
+
 ``check_at_axioms`` verifies the set-level fragment of the classical atlas
 axioms: carrier coverage, chart bijectivity, and transition injectivity and
 co-injectivity (coverage, domain and range hold by definition).  By closure,
@@ -18,6 +23,7 @@ counterpart and are deliberately not claimed; the report is "set-level" only.
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
+from operator import itemgetter
 
 from .errors import IndexMismatch, InvalidAtlas, NotIsomorphic, UnknownIndex
 from .relations import EMPTY, Relation
@@ -114,8 +120,9 @@ def _transitions(atlas: Atlas) -> dict:
     """Every non-empty ``transition``, keyed (alpha, beta), in one pass: each
     carrier point z adds (b, a) to (alpha, beta) for its chart pairs (z, a)
     in alpha and (z, b) in beta, for any atlas, valid or not.  The one
-    builder of whole transition families, behind ``reconstruct`` and
-    ``flows.build_system`` (flow-gen), whose atlases may repeat a value."""
+    builder of transition ``Relation``s, behind ``reconstruct`` and
+    ``flows.build_system`` (flow-gen), whose atlases may repeat a value;
+    ``_transition_rows`` is its wire-row twin for valid atlases."""
     nodes = {}
     for alpha, chart in atlas.charts.items():
         for z, a in chart.pairs:
@@ -133,6 +140,31 @@ def _transitions(atlas: Atlas) -> dict:
     }
 
 
+def _transition_rows(atlas: Atlas) -> dict:
+    """``{(alpha, beta): sorted(transition(atlas, alpha, beta).pairs)}`` for
+    every non-empty transition, as lists of (b, a) tuples, on an atlas that
+    ``validate_atlas`` passes.
+
+    There every chart is a partial bijection, so every transition is one
+    too: walking chart beta's points in element order meets each b once
+    and yields the row already sorted.  Each chart is ordered once.  The
+    rows are what ``sincov reconstruct`` writes, so it needs no system.
+    ``_transitions`` stays the builder of ``Relation``s for any atlas:
+    sets would lose this order, and rebuilding it from these rows plus
+    frozensets made flow-gen slower.
+    """
+    charts = atlas.charts
+    maps = {alpha: dict(chart.pairs) for alpha, chart in charts.items()}
+    columns = [(beta, sorted(chart.pairs, key=itemgetter(1))) for beta, chart in charts.items()]
+    rows = {}
+    for alpha, a_of in maps.items():
+        for beta, column in columns:
+            row = [(b, a_of[z]) for z, b in column if z in a_of]
+            if row:
+                rows[alpha, beta] = row
+    return rows
+
+
 def _raise_invalid(violations):
     first = violations[0]
     exc = InvalidAtlas(first.index, first.predicate, first.pair)
@@ -146,8 +178,22 @@ def _match_charts(src: Atlas, dst: Atlas, present_in: int, missing_reason: str) 
     For every chart pair (z, a) of src, z must go to the unique dst carrier
     point that the same chart sends to a.  A point forced two ways proves
     the transition relations differ; the raised witness pair is a member of
-    src's transition relation that dst cannot realize.
+    src's transition relation that dst cannot realize.  The forced pairs
+    are read at C speed; only when one is missing or two disagree does the
+    loop run, to name the first witness in (chart, pair) order.
     """
+    forced_pairs = set()
+    for alpha, chart in src.charts.items():
+        pairs = dst.charts.get(alpha, EMPTY).pairs
+        by_value = dict(zip(map(itemgetter(1), pairs), map(itemgetter(0), pairs)))
+        zbars = list(map(by_value.get, map(itemgetter(1), chart.pairs)))
+        if None in zbars:
+            break
+        forced_pairs.update(zip(map(itemgetter(0), chart.pairs), zbars))
+    else:
+        assignment = dict(forced_pairs)
+        if len(assignment) == len(forced_pairs):
+            return assignment
     assignment = {}  # z -> (zbar, chart index, element) that forced it
     for alpha in sorted(src.charts):
         by_value = {a: z for z, a in dst.charts.get(alpha, EMPTY).pairs}

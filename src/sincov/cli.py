@@ -32,8 +32,7 @@ import os
 import sys
 
 from . import jsonio
-# Not called here since reconstruct validates; bench/tracing.py spans this reference.
-from .atlas import check_at_axioms, find_isomorphism, validate_atlas  # noqa: F401
+from .atlas import _transition_rows, check_at_axioms, find_isomorphism, validate_atlas
 from .errors import (
     EqualityCaseViolated,
     FormatError,
@@ -49,7 +48,9 @@ from .systems import (
     ALL_LAWS,
     Law,
     check_sincov,
-    reconstruct,
+    # Not called here, as the reconstruct subcommand writes transition rows;
+    # imported because bench/tracing.py patches this reference.
+    reconstruct,  # noqa: F401
     solve_atlas,
     solve_via_fixed_index,
 )
@@ -113,11 +114,13 @@ def _cmd_solve(args):
 
 
 def _cmd_reconstruct(args):
+    # The system the atlas generates, written as its transition rows; no
+    # SincovSystem is built, and the bytes equal system_to_obj(reconstruct()).
     atlas = jsonio.atlas_from_obj(_load(args.file))
-    try:  # serialized here, so the system is freed before the JSON text is built
-        return jsonio.system_to_obj(reconstruct(atlas)), 0
-    except InvalidAtlas as exc:
-        return {"chart_violations": [jsonio.chart_violation_to_obj(v) for v in exc.violations]}, 1
+    violations = validate_atlas(atlas)
+    if violations:
+        return {"chart_violations": [jsonio.chart_violation_to_obj(v) for v in violations]}, 1
+    return jsonio._system_obj(atlas.indices, _transition_rows(atlas).items()), 0
 
 
 def _cmd_iso(args):
@@ -238,5 +241,15 @@ def main(argv=None) -> int:
             gc.enable()
 
 
-if __name__ == "__main__":
+def run():
+    """Process entry point (``python -m sincov``, the ``sincov`` script):
+    ``main`` on ``sys.argv``, exiting with its code.  The heap that site
+    and the imports left is frozen first, so the collections at
+    interpreter exit skip it; ``main``, the in-process API, freezes
+    nothing."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -92,14 +92,22 @@ def _check_index_id(index):
     return index
 
 
-def system_to_obj(system: SincovSystem) -> dict:
-    for index in system.indices:
+def _system_obj(indices, relations) -> dict:
+    """The system wire format from its index ids and the non-empty relations
+    as ((alpha, beta), pair array) items.  ``sincov reconstruct`` hands it
+    ``atlas._transition_rows``' sorted (b, a) tuples, which the encoder
+    writes as arrays, so its bytes equal ``system_to_obj``'s."""
+    for index in indices:
         _check_index_id(index)
-    relations = {
-        f"{alpha}{KEY_SEPARATOR}{beta}": relation_to_obj(rel)
-        for (alpha, beta), rel in system.relations.items()
+    return {
+        "indices": sorted(indices),
+        "relations": {f"{alpha}{KEY_SEPARATOR}{beta}": pairs for (alpha, beta), pairs in relations},
     }
-    return {"indices": sorted(system.indices), "relations": relations}
+
+
+def system_to_obj(system: SincovSystem) -> dict:
+    relations = system.relations
+    return _system_obj(system.indices, zip(relations, map(relation_to_obj, relations.values())))
 
 
 def system_from_obj(obj) -> SincovSystem:

@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 
 from sincov import (
     ALL_LAWS,
+    EMPTY,
     Atlas,
     FormatError,
     Law,
+    NotIsomorphic,
     Relation,
     SincovSystem,
     ViolationReport,
@@ -307,6 +309,25 @@ def oracle_relation_from_obj(obj) -> Relation:
                 raise FormatError("relation pair entries must be strings")
         pairs.append((entry[0], entry[1]))
     return Relation(pairs)
+
+
+def oracle_match_charts(src: Atlas, dst: Atlas, present_in: int, missing_reason: str) -> dict:
+    """``atlas._match_charts`` by its per-pair loop alone: charts in index
+    order, pairs in sorted order, and the first missing value or point
+    forced two ways names the witness."""
+    assignment = {}
+    for alpha in sorted(src.charts):
+        by_value = {a: z for z, a in dst.charts.get(alpha, EMPTY).pairs}
+        for z, a in sorted(src.charts[alpha].pairs):
+            zbar = by_value.get(a)
+            if zbar is None:
+                raise NotIsomorphic(missing_reason, (alpha, alpha), (a, a), present_in)
+            prev = assignment.get(z)
+            if prev is None:
+                assignment[z] = (zbar, alpha, a)
+            elif prev[0] != zbar:
+                raise NotIsomorphic("conflict", (prev[1], alpha), (a, prev[2]), present_in)
+    return {z: forced[0] for z, forced in assignment.items()}
 
 
 def oracle_strict_triple(system: SincovSystem):

@@ -10,6 +10,7 @@ from genutil import (
     corrupted_atlases_st,
     mutate_atlas,
     oracle_at_axioms,
+    oracle_match_charts,
     random_atlas,
     random_carrier_bijection,
     raw_atlases_st,
@@ -33,7 +34,7 @@ from sincov import (
     verify_isomorphism,
 )
 import sincov.atlas
-from sincov.atlas import _transitions
+from sincov.atlas import _match_charts, _transition_rows, _transitions
 from test_systems import pair_system, swap_system, two_class_system
 
 
@@ -112,6 +113,18 @@ class TestTransition:
             assert all(type(pair) is tuple and len(pair) == 2 for pair in rel.pairs)
             assert all(type(x) is str for pair in rel.pairs for x in pair)
             assert rel == Relation(rel.pairs)
+
+    @given(atlases_st())
+    @example(Atlas({"a": Relation([(Label("z"), Label("0")), (1, 2)]), 3: Relation([("z", 4)])}))
+    @settings(max_examples=100)
+    def test_rows_are_the_sorted_transitions(self, atlas):
+        rows = _transition_rows(atlas)
+        indices = atlas.indices
+        pairs = {(a, b): transition(atlas, a, b).pairs for a in indices for b in indices}
+        assert set(rows) == {key for key, found in pairs.items() if found}
+        for key, row in rows.items():
+            assert row == sorted(pairs[key])  # so sorted and repeat-free
+            assert all(type(pair) is tuple and list(map(type, pair)) == [str, str] for pair in row)
 
 
 class TestCarrier:
@@ -212,6 +225,37 @@ class TestFindIsomorphism:
             with pytest.raises(NotIsomorphic) as excinfo:
                 find_isomorphism(a1, a2)
             assert witness_checks_out(excinfo.value, a1, a2)
+
+    @given(atlases_st(), st.randoms(use_true_random=False))
+    @example(  # one point on the left, split in two on the right
+        Atlas({"a": Relation([("z", "0")]), "b": Relation([("z", "1")])}), random.Random(0)
+    )
+    @settings(max_examples=200)
+    def test_matching_equals_the_loop(self, a1, rng):
+        # A carrier-renamed partner, mutated 30 % of the time: a pair dropped
+        # or grafted (missing, coverage) or one chart's point split off
+        # (a conflict one way, a collapse the other).
+        a2 = rename_carrier(a1, random_carrier_bijection(rng, carrier(a1)))
+        if rng.random() < 0.3:
+            nonempty = sorted(alpha for alpha, rel in a2.charts.items() if rel.pairs)
+            if nonempty and rng.random() < 0.5:
+                alpha = rng.choice(nonempty)
+                chart = a2.charts[alpha].pairs
+                z, a = rng.choice(sorted(chart))
+                a2 = Atlas({**a2.charts, alpha: Relation(chart - {(z, a)} | {(z + "~", a)})})
+            else:
+                a2 = mutate_atlas(rng, a2)
+            if rng.random() < 0.5:  # either side may be the mutated one
+                a1, a2 = a2, a1
+
+        def outcome(match, src, dst, present_in, reason):
+            try:
+                return match(src, dst, present_in, reason)
+            except NotIsomorphic as exc:
+                return (exc.reason, exc.indices, exc.pair, exc.present_in)
+
+        for args in ((a1, a2, 1, "missing_counterpart"), (a2, a1, 2, "coverage")):
+            assert outcome(_match_charts, *args) == outcome(oracle_match_charts, *args)
 
 
 class TestVerifyIsomorphism:

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,9 +15,12 @@ from hypothesis import strategies as st
 import sincov.atlas
 import sincov.cli
 import sincov.systems
+from genutil import atlases_st, corrupted_atlases_st, raw_atlases_st
+from sincov import InvalidAtlas, jsonio, reconstruct
 from sincov.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
 PAIR_SYSTEM = GOLDEN / "pair_system.json"
 PAIR_ATLAS = GOLDEN / "pair_system.atlas.json"
@@ -38,6 +42,19 @@ def run_cli(capsys, *argv):
 def stdin_of(text):
     # sincov reads the bytes under sys.stdin, so a test's stdin needs a buffer.
     return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+
+
+def run_stdin(argv, text):
+    """``main(argv)`` with ``text`` on stdin, outside pytest's capture
+    fixtures (which Hypothesis tests cannot take): (code, stdout, stderr)."""
+    out, err, saved_stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = stdin_of(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved_stdin
+    return code, out.getvalue(), err.getvalue()
 
 
 def write(tmp_path, name, text):
@@ -253,6 +270,21 @@ class TestReconstruct:
         if expected:
             assert len(json.loads(out)["chart_violations"]) == 2
 
+    @given(st.one_of(atlases_st(), corrupted_atlases_st(), raw_atlases_st()))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_give_the_library_bytes(self, atlas):
+        # The handler writes transition rows; the library path builds the
+        # system, or raises with every chart violation.
+        try:
+            payload, expected = jsonio.system_to_obj(reconstruct(atlas)), 0
+        except InvalidAtlas as exc:
+            violations = [jsonio.chart_violation_to_obj(v) for v in exc.violations]
+            payload, expected = {"chart_violations": violations}, 1
+        text = jsonio.canonical_dumps(jsonio.atlas_to_obj(atlas))
+        for flags, dumps in (([], jsonio.canonical_dumps), (["--pretty"], jsonio.pretty_dumps)):
+            result = run_stdin(["reconstruct", "-", *flags], text)
+            assert result == (expected, dumps(payload) + "\n", "")
+
 
 class TestIso:
     def test_self_is_identity(self, capsys):
@@ -429,13 +461,19 @@ class TestCollector:
 
         def recording(atlas):
             seen.append(gc.isenabled())
-            return sincov.systems.reconstruct(atlas)
+            return sincov.atlas.validate_atlas(atlas)
 
-        monkeypatch.setattr(sincov.cli, "reconstruct", recording)
+        monkeypatch.setattr(sincov.cli, "validate_atlas", recording)
         assert gc.isenabled()
         code, out, _ = run_cli(capsys, "reconstruct", str(PAIR_ATLAS))
         assert (code, seen) == (0, [False])
         assert out == PAIR_SYSTEM.read_text()
+
+    def test_main_freezes_nothing(self, capsys):
+        # Only the process entry point freezes; in-process callers keep their heap.
+        frozen = gc.get_freeze_count()
+        assert run_cli(capsys, "check", str(PAIR_SYSTEM))[0] == 0
+        assert gc.get_freeze_count() == frozen
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     @pytest.mark.parametrize(
@@ -508,6 +546,21 @@ class TestSubprocessEntryPoints:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout) == {"violations": []}
+
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    def test_entry_point_freezes_the_heap_before_main(self, entry):
+        # A stand-in main reports the freeze count that the real one starts with.
+        if entry == "module":
+            call = "import runpy; runpy.run_module('sincov', run_name='__main__')"
+        else:
+            target = re.search(r'^sincov = "(.+)"$', PYPROJECT.read_text(), re.MULTILINE)[1]
+            module, _, name = target.partition(":")
+            call = f"import {module}; {module}.{name}()"
+        stand_in = "sincov.cli.main = lambda: print(gc.get_freeze_count())"
+        script = f"import gc, sincov.cli\n{stand_in}\n{call}"
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert int(result.stdout) > 0
 
     @pytest.mark.parametrize("hash_seed", ["0", "1"])
     def test_shell_pipeline(self, hash_seed):
