@@ -15,51 +15,19 @@ into executable algebra:
   law-abiding systems, with difference-quotient residuals.
 * :mod:`sincov.jsonio` / :mod:`sincov.cli` -- canonical JSON wire formats
   and the command-line front end.
+
+``import sincov`` loads no submodule.  Every name in ``__all__`` and every
+submodule loads on first use (PEP 562): reading ``sincov.Relation`` imports
+``sincov.relations``, and ``sincov.SincovSystem`` imports ``sincov.systems``
+(with ``atlas``, ``relations`` and ``errors``, which it imports).  So a
+``python -m sincov`` child loads only what its subcommand runs:
+``reconstruct``, ``axioms`` and ``iso`` never load ``systems``, ``flows``
+or ``fractions``, and ``check`` and ``solve`` never load ``flows`` or
+``fractions``.  ``from sincov import *`` and ``dir(sincov)`` still see
+every public name.
 """
 
-from .atlas import (
-    Atlas,
-    ChartViolation,
-    Isomorphism,
-    carrier,
-    check_at_axioms,
-    find_isomorphism,
-    transition,
-    validate_atlas,
-    verify_isomorphism,
-)
-from .errors import (
-    CoinjectivityViolated,
-    DomainExceeded,
-    EqualityCaseViolated,
-    FormatError,
-    IndexMismatch,
-    InvalidAtlas,
-    KindMismatch,
-    NotIsomorphic,
-    PreconditionViolated,
-    SincovError,
-    UnknownIndex,
-)
-from .flows import (
-    FlowKind,
-    FlowSpec,
-    Seed,
-    build_system,
-    flow_eval,
-    vector_field_residual,
-)
-from .relations import EMPTY, Relation
-from .systems import (
-    ALL_LAWS,
-    Law,
-    SincovSystem,
-    ViolationReport,
-    check_sincov,
-    reconstruct,
-    solve_atlas,
-    solve_via_fixed_index,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -101,3 +69,60 @@ __all__ = [
     "vector_field_residual",
     "verify_isomorphism",
 ]
+
+# The submodule that defines each public name.
+_HOMES = {
+    "atlas": (
+        "Atlas",
+        "ChartViolation",
+        "Isomorphism",
+        "carrier",
+        "check_at_axioms",
+        "find_isomorphism",
+        "transition",
+        "validate_atlas",
+        "verify_isomorphism",
+    ),
+    "errors": (
+        "CoinjectivityViolated",
+        "DomainExceeded",
+        "EqualityCaseViolated",
+        "FormatError",
+        "IndexMismatch",
+        "InvalidAtlas",
+        "KindMismatch",
+        "NotIsomorphic",
+        "PreconditionViolated",
+        "SincovError",
+        "UnknownIndex",
+    ),
+    "flows": ("FlowKind", "FlowSpec", "Seed", "build_system", "flow_eval", "vector_field_residual"),
+    "relations": ("EMPTY", "Relation"),
+    "systems": (
+        "ALL_LAWS",
+        "Law",
+        "SincovSystem",
+        "ViolationReport",
+        "check_sincov",
+        "reconstruct",
+        "solve_atlas",
+        "solve_via_fixed_index",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+_SUBMODULES = frozenset(_HOMES) | {"cli", "jsonio"}
+
+
+def __getattr__(name):
+    """A public name or a submodule, imported on its first read; a public
+    name is then bound here, so later reads skip this hook."""
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

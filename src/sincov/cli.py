@@ -21,6 +21,12 @@ diagnostics go to stderr.  Every file argument accepts "-" for stdin,
 which is decoded as strict UTF-8 under every locale, as files are.  Stdin
 is read at most once, so repeated "-" arguments name the same document:
 ``sincov iso - -`` compares the atlas on stdin with itself.
+
+A child loads only the layers its subcommand runs: the ``systems`` and
+``flows`` functions bound below import their module at their first call.
+``reconstruct`` is bound although no subcommand calls it (``sincov
+reconstruct`` writes the transition rows from the charts), because
+bench/tracing.py patches ``cli.reconstruct``.
 """
 
 from __future__ import annotations
@@ -30,9 +36,10 @@ import gc
 import json
 import os
 import sys
+from importlib import import_module
 
 from . import jsonio
-from .atlas import _transition_rows, check_at_axioms, find_isomorphism, validate_atlas
+from .atlas import check_at_axioms, find_isomorphism, validate_atlas
 from .errors import (
     EqualityCaseViolated,
     FormatError,
@@ -43,17 +50,32 @@ from .errors import (
     PreconditionViolated,
     UnknownIndex,
 )
-from .flows import build_system
-from .systems import (
-    ALL_LAWS,
-    Law,
-    check_sincov,
-    # Not called here, as the reconstruct subcommand writes transition rows;
-    # imported because bench/tracing.py patches this reference.
-    reconstruct,  # noqa: F401
-    solve_atlas,
-    solve_via_fixed_index,
-)
+
+
+def _bound_at_first_call(module, name):
+    """A stand-in for ``sincov.<module>.<name>`` that imports it when first
+    called and rebinds this module's global ``name`` to it, so a child
+    loads ``systems`` or ``flows`` only when its subcommand runs them.  A
+    stand-in that someone has replaced (bench/tracing.py wraps these
+    names) leaves the replacement in place."""
+
+    def stand_in(*args):
+        function = getattr(import_module(f".{module}", __package__), name)
+        if globals()[name] is stand_in:
+            globals()[name] = function
+        return function(*args)
+
+    stand_in.__name__ = stand_in.__qualname__ = name
+    return stand_in
+
+
+build_system = _bound_at_first_call("flows", "build_system")
+check_sincov = _bound_at_first_call("systems", "check_sincov")
+solve_atlas = _bound_at_first_call("systems", "solve_atlas")
+solve_via_fixed_index = _bound_at_first_call("systems", "solve_via_fixed_index")
+# Never called here, as the reconstruct subcommand writes transition rows;
+# bound because bench/tracing.py patches this reference.
+reconstruct = _bound_at_first_call("systems", "reconstruct")
 
 
 def _load(path):
@@ -74,6 +96,8 @@ def _load(path):
 
 
 def _parse_laws(text):
+    from .systems import ALL_LAWS, Law
+
     names = [part.strip() for part in text.split(",") if part.strip()]
     if not names:
         raise argparse.ArgumentTypeError("--laws needs at least one law name")
@@ -114,13 +138,14 @@ def _cmd_solve(args):
 
 
 def _cmd_reconstruct(args):
-    # The system the atlas generates, written as its transition rows; no
-    # SincovSystem is built, and the bytes equal system_to_obj(reconstruct()).
+    # The system the atlas generates, which main's dumps writes from the
+    # charts; no SincovSystem is built, and the bytes equal
+    # system_to_obj(reconstruct()).
     atlas = jsonio.atlas_from_obj(_load(args.file))
     violations = validate_atlas(atlas)
     if violations:
         return {"chart_violations": [jsonio.chart_violation_to_obj(v) for v in violations]}, 1
-    return jsonio._system_obj(atlas.indices, _transition_rows(atlas).items()), 0
+    return jsonio.GeneratedSystem(atlas), 0
 
 
 def _cmd_iso(args):
@@ -160,7 +185,9 @@ def _cmd_flow_gen(args):
         system = build_system(spec, grid, seeds)
     except (KindMismatch, ValueError) as exc:
         raise FormatError(str(exc)) from None
-    return jsonio.system_to_obj(system), 0
+    # Sorted pair tuples, which the encoder writes as system_to_obj's arrays.
+    rows = ((key, sorted(rel.pairs)) for key, rel in system.relations.items())
+    return jsonio._system_obj(system.indices, rows), 0
 
 
 def _build_parser():

@@ -23,24 +23,43 @@ Formats:
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
+from json.encoder import encode_basestring_ascii
+from operator import add, itemgetter
 
 from .atlas import Atlas, Isomorphism, chart_violation_to_obj  # re-exported with the other formats
 from .errors import FormatError
-from .flows import FlowKind, FlowSpec, Seed
 from .relations import Relation
-from .systems import SincovSystem
 
 KEY_SEPARATOR = "|"
+
+# The line break before a member at each nesting depth, and the key
+# separator, of canonical_dumps' and pretty_dumps' layouts.
+_COMPACT = ([""] * 5, ":")
+_INDENTED = (["\n" + "  " * depth for depth in range(5)], ": ")
+
+
+class GeneratedSystem:
+    """The system a valid atlas generates, as a payload: ``canonical_dumps``
+    and ``pretty_dumps`` write it straight from the charts, in the bytes
+    they give ``system_to_obj(reconstruct(atlas))``."""
+
+    __slots__ = ("atlas",)
+
+    def __init__(self, atlas: Atlas):
+        self.atlas = atlas
 
 
 # Payloads are trees that sincov builds, so a cycle scan could never fire.
 def canonical_dumps(payload) -> str:
+    if type(payload) is GeneratedSystem:
+        return _generated_text(payload.atlas, _COMPACT)
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def pretty_dumps(payload) -> str:
+    if type(payload) is GeneratedSystem:
+        return _generated_text(payload.atlas, _INDENTED)
     return json.dumps(payload, sort_keys=True, indent=2, check_circular=False)
 
 
@@ -94,9 +113,9 @@ def _check_index_id(index):
 
 def _system_obj(indices, relations) -> dict:
     """The system wire format from its index ids and the non-empty relations
-    as ((alpha, beta), pair array) items.  ``sincov reconstruct`` hands it
-    ``atlas._transition_rows``' sorted (b, a) tuples, which the encoder
-    writes as arrays, so its bytes equal ``system_to_obj``'s."""
+    as ((alpha, beta), pair array) items.  ``sincov flow-gen`` hands it
+    sorted (b, a) tuples, which the encoder writes as arrays, so its bytes
+    equal ``system_to_obj``'s."""
     for index in indices:
         _check_index_id(index)
     return {
@@ -111,6 +130,8 @@ def system_to_obj(system: SincovSystem) -> dict:
 
 
 def system_from_obj(obj) -> SincovSystem:
+    from .systems import SincovSystem
+
     _require(isinstance(obj, dict), "system must be an object")
     _require(set(obj) <= {"indices", "relations"}, "unknown keys in system object")
     _require("indices" in obj, "system object needs an 'indices' array")
@@ -130,6 +151,66 @@ def system_from_obj(obj) -> SincovSystem:
         _require(beta in indices, f"relation key uses unknown index {beta!r}")
         relations[(alpha, beta)] = relation_from_obj(value)
     return SincovSystem(indices, relations)
+
+
+def _generated_text(atlas: Atlas, layout) -> str:
+    """``system_to_obj(reconstruct(atlas))`` as text in ``layout``, written
+    from the charts of an atlas that ``validate_atlas`` passes.
+
+    The carrier points are numbered once and each chart pair (z, a) is
+    encoded once, with json's own escaping.  Every chart is a partial
+    bijection, so transition (alpha, beta) holds one pair (b, a) for each
+    point z of chart beta that chart alpha also holds, and walking chart
+    beta's points in element order yields its pairs sorted.  So each row is
+    read at C speed: one ``itemgetter`` over beta's point numbers picks
+    alpha's encoded elements, and ``compress`` and ``filter`` keep the
+    points both charts hold.  The keys sort as ``"alpha|beta"`` strings,
+    not as (alpha, beta) tuples, as the encoder sorts them.
+    """
+    br, colon = layout
+    point_numbers = {}
+    encoded = {}  # index -> (its point numbers, its encoded elements), by element
+    for index, chart in atlas.charts.items():
+        if chart.pairs:
+            points, elements = zip(*sorted(chart.pairs, key=itemgetter(1)))
+            numbers = [point_numbers.setdefault(z, len(point_numbers)) for z in points]
+            encoded[index] = numbers, list(map(encode_basestring_ascii, elements))
+
+    pair_open, pair_mid, pair_close = f"[{br[4]}", f",{br[4]}", f"{br[3]}]"
+    tails = {}  # alpha -> by point number: "a]" for its pair (z, a), else None
+    heads = []  # (beta, picker of beta's points, "[b," per point), by element
+    for index, (numbers, texts) in encoded.items():
+        tail = tails[index] = [None] * len(point_numbers)
+        for number, text in zip(numbers, texts):
+            tail[number] = text + pair_close
+        # itemgetter of one item returns it bare; a one-point slice is a list.
+        first = numbers[0]
+        picker = itemgetter(*numbers) if len(numbers) > 1 else itemgetter(slice(first, first + 1))
+        heads.append((index, picker, [f"{pair_open}{text}{pair_mid}" for text in texts]))
+
+    pair_sep = f",{br[3]}"
+    rows = []
+    for alpha, tail in tails.items():
+        for beta, picker, opened in heads:
+            picked = picker(tail)
+            row = pair_sep.join(map(add, compress(opened, picked), filter(None, picked)))
+            if row:
+                rows.append((f"{alpha}{KEY_SEPARATOR}{beta}", row))
+    rows.sort()
+
+    relations = [f"{encode_basestring_ascii(key)}{colon}[{br[3]}{row}{br[2]}]" for key, row in rows]
+    indices = list(map(encode_basestring_ascii, sorted(atlas.charts)))
+    return (
+        f'{{{br[1]}"indices"{colon}{_members("[", indices, "]", br, 1)},'
+        f'{br[1]}"relations"{colon}{_members("{", relations, "}", br, 1)}{br[0]}}}'
+    )
+
+
+def _members(open_, members, close, br, depth) -> str:
+    # json's layout of an array or object at ``depth`` from encoded members.
+    if not members:
+        return open_ + close
+    return f"{open_}{br[depth + 1]}{f',{br[depth + 1]}'.join(members)}{br[depth]}{close}"
 
 
 def violation_to_obj(report) -> dict:
@@ -174,10 +255,9 @@ def isomorphism_from_obj(obj) -> Isomorphism:
 # -------------------------------------------------------------------- flows
 
 
-_KINDS = {kind.value: kind for kind in FlowKind}
-
-
 def _rational(text, what) -> Fraction:
+    from fractions import Fraction
+
     _require(isinstance(text, str), f"{what} must be a rational string like '1/2'")
     try:
         return Fraction(text)
@@ -187,14 +267,17 @@ def _rational(text, what) -> Fraction:
 
 def flow_from_obj(obj):
     """Parse a flow descriptor into (FlowSpec, grid times, seeds)."""
+    from .flows import FlowKind, FlowSpec, Seed
+
     _require(isinstance(obj, dict), "flow descriptor must be an object")
     _require(
         set(obj) <= {"kind", "grid", "seeds", "permutation"},
         "unknown keys in flow descriptor",
     )
+    kinds = {kind.value: kind for kind in FlowKind}
     kind_name = obj.get("kind")
-    kind = _KINDS.get(kind_name) if isinstance(kind_name, str) else None
-    _require(kind is not None, f"kind must be one of {sorted(_KINDS)}")
+    kind = kinds.get(kind_name) if isinstance(kind_name, str) else None
+    _require(kind is not None, f"kind must be one of {sorted(kinds)}")
 
     if kind is FlowKind.PERMUTATION:
         table = obj.get("permutation")

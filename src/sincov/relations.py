@@ -35,6 +35,8 @@ off charts that a constructor normalized.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .errors import CoinjectivityViolated
 
 
@@ -80,10 +82,10 @@ class Relation:
         return {a for _, a in self.pairs}
 
     def is_injective(self) -> bool:
-        return len({a for _, a in self.pairs}) == len(self.pairs)
+        return len(set(map(itemgetter(1), self.pairs))) == len(self.pairs)
 
     def is_coinjective(self) -> bool:
-        return len({b for b, _ in self.pairs}) == len(self.pairs)
+        return len(set(map(itemgetter(0), self.pairs))) == len(self.pairs)
 
     def is_subrelation(self, other: "Relation") -> bool:
         return self.pairs <= other.pairs

@@ -21,6 +21,7 @@ from sincov import (
     EMPTY,
     Atlas,
     FormatError,
+    Isomorphism,
     Law,
     NotIsomorphic,
     Relation,
@@ -328,6 +329,15 @@ def oracle_match_charts(src: Atlas, dst: Atlas, present_in: int, missing_reason:
             elif prev[0] != zbar:
                 raise NotIsomorphic("conflict", (prev[1], alpha), (a, prev[2]), present_in)
     return {z: forced[0] for z, forced in assignment.items()}
+
+
+def oracle_find_isomorphism(a1: Atlas, a2: Atlas) -> Isomorphism:
+    """``atlas.find_isomorphism`` on two valid atlases over the same
+    indices, with both matching passes always run, by the per-pair loop."""
+    assert a1.indices == a2.indices and not validate_atlas(a1) and not validate_atlas(a2)
+    forward = oracle_match_charts(a1, a2, 1, "missing_counterpart")
+    oracle_match_charts(a2, a1, 2, "coverage")
+    return Isomorphism(Relation(forward.items()))
 
 
 def oracle_strict_triple(system: SincovSystem):

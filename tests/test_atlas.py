@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from genutil import (
     corrupted_atlases_st,
     mutate_atlas,
     oracle_at_axioms,
+    oracle_find_isomorphism,
     oracle_match_charts,
     random_atlas,
     random_carrier_bijection,
@@ -34,7 +36,8 @@ from sincov import (
     verify_isomorphism,
 )
 import sincov.atlas
-from sincov.atlas import _match_charts, _transition_rows, _transitions
+from sincov import jsonio
+from sincov.atlas import _match_charts, _transitions
 from test_systems import pair_system, swap_system, two_class_system
 
 
@@ -44,6 +47,26 @@ def witness_checks_out(exc, a1, a2):
     inside, outside = (s1, s2) if exc.present_in == 1 else (s2, s1)
     alpha, beta = exc.indices
     return exc.pair in inside.get(alpha, beta) and exc.pair not in outside.get(alpha, beta)
+
+
+def renamed_partner(a1, rng):
+    """(a1, a2) with a2 a carrier-renamed a1, mutated 30 % of the time: a
+    pair dropped or grafted (missing, coverage) or one chart's point split
+    off (a conflict one way, a collapse the other); either side may be the
+    mutated one."""
+    a2 = rename_carrier(a1, random_carrier_bijection(rng, carrier(a1)))
+    if rng.random() < 0.3:
+        nonempty = sorted(alpha for alpha, rel in a2.charts.items() if rel.pairs)
+        if nonempty and rng.random() < 0.5:
+            alpha = rng.choice(nonempty)
+            chart = a2.charts[alpha].pairs
+            z, a = rng.choice(sorted(chart))
+            a2 = Atlas({**a2.charts, alpha: Relation(chart - {(z, a)} | {(z + "~", a)})})
+        else:
+            a2 = mutate_atlas(rng, a2)
+        if rng.random() < 0.5:
+            a1, a2 = a2, a1
+    return a1, a2
 
 
 class TestValidateAtlas:
@@ -117,14 +140,16 @@ class TestTransition:
     @given(atlases_st())
     @example(Atlas({"a": Relation([(Label("z"), Label("0")), (1, 2)]), 3: Relation([("z", 4)])}))
     @settings(max_examples=100)
-    def test_rows_are_the_sorted_transitions(self, atlas):
-        rows = _transition_rows(atlas)
+    def test_emitted_rows_are_the_sorted_transitions(self, atlas):
         indices = atlas.indices
-        pairs = {(a, b): transition(atlas, a, b).pairs for a in indices for b in indices}
-        assert set(rows) == {key for key, found in pairs.items() if found}
-        for key, row in rows.items():
-            assert row == sorted(pairs[key])  # so sorted and repeat-free
-            assert all(type(pair) is tuple and list(map(type, pair)) == [str, str] for pair in row)
+        pairs = {f"{a}|{b}": transition(atlas, a, b).pairs for a in indices for b in indices}
+        for dumps in (jsonio.canonical_dumps, jsonio.pretty_dumps):
+            written = json.loads(dumps(jsonio.GeneratedSystem(atlas)))
+            assert written["indices"] == sorted(indices)
+            rows = written["relations"]
+            assert set(rows) == {key for key, found in pairs.items() if found}
+            for key, row in rows.items():
+                assert row == sorted(map(list, pairs[key]))  # so sorted and repeat-free
 
 
 class TestCarrier:
@@ -226,27 +251,25 @@ class TestFindIsomorphism:
                 find_isomorphism(a1, a2)
             assert witness_checks_out(excinfo.value, a1, a2)
 
+    def test_collapse_witness(self):
+        # Two points on the left, one on the right: the forward map is not
+        # injective, so the reverse pass runs and names the collapse.
+        a1 = Atlas({"a": Relation([("z", "0")]), "b": Relation([("w", "1")])})
+        a2 = Atlas({"a": Relation([("u", "0")]), "b": Relation([("u", "1")])})
+        with pytest.raises(NotIsomorphic) as excinfo:
+            find_isomorphism(a1, a2)
+        exc = excinfo.value
+        assert exc.reason == "conflict"
+        assert (exc.indices, exc.pair, exc.present_in) == (("a", "b"), ("1", "0"), 2)
+        assert witness_checks_out(exc, a1, a2)
+
     @given(atlases_st(), st.randoms(use_true_random=False))
     @example(  # one point on the left, split in two on the right
         Atlas({"a": Relation([("z", "0")]), "b": Relation([("z", "1")])}), random.Random(0)
     )
     @settings(max_examples=200)
     def test_matching_equals_the_loop(self, a1, rng):
-        # A carrier-renamed partner, mutated 30 % of the time: a pair dropped
-        # or grafted (missing, coverage) or one chart's point split off
-        # (a conflict one way, a collapse the other).
-        a2 = rename_carrier(a1, random_carrier_bijection(rng, carrier(a1)))
-        if rng.random() < 0.3:
-            nonempty = sorted(alpha for alpha, rel in a2.charts.items() if rel.pairs)
-            if nonempty and rng.random() < 0.5:
-                alpha = rng.choice(nonempty)
-                chart = a2.charts[alpha].pairs
-                z, a = rng.choice(sorted(chart))
-                a2 = Atlas({**a2.charts, alpha: Relation(chart - {(z, a)} | {(z + "~", a)})})
-            else:
-                a2 = mutate_atlas(rng, a2)
-            if rng.random() < 0.5:  # either side may be the mutated one
-                a1, a2 = a2, a1
+        a1, a2 = renamed_partner(a1, rng)
 
         def outcome(match, src, dst, present_in, reason):
             try:
@@ -256,6 +279,20 @@ class TestFindIsomorphism:
 
         for args in ((a1, a2, 1, "missing_counterpart"), (a2, a1, 2, "coverage")):
             assert outcome(_match_charts, *args) == outcome(oracle_match_charts, *args)
+
+    @given(atlases_st(), st.randoms(use_true_random=False))
+    @settings(max_examples=200)
+    def test_result_equals_the_two_pass_oracle(self, a1, rng):
+        # find_isomorphism skips the reverse pass only where it cannot fail.
+        a1, a2 = renamed_partner(a1, rng)
+
+        def outcome(find):
+            try:
+                return find(a1, a2)
+            except NotIsomorphic as exc:
+                return (exc.reason, exc.indices, exc.pair, exc.present_in)
+
+        assert outcome(find_isomorphism) == outcome(oracle_find_isomorphism)
 
 
 class TestVerifyIsomorphism:

@@ -16,7 +16,7 @@ import sincov.atlas
 import sincov.cli
 import sincov.systems
 from genutil import atlases_st, corrupted_atlases_st, raw_atlases_st
-from sincov import InvalidAtlas, jsonio, reconstruct
+from sincov import Atlas, InvalidAtlas, Relation, jsonio, reconstruct
 from sincov.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -271,6 +271,23 @@ class TestReconstruct:
             assert len(json.loads(out)["chart_violations"]) == 2
 
     @given(st.one_of(atlases_st(), corrupted_atlases_st(), raw_atlases_st()))
+    @example(  # identifiers that JSON escapes, in every position
+        Atlas(
+            {
+                '"q': Relation([('z"', "\\"), ("\x01", "é")]),
+                "\\": Relation([('z"', "\U0001f600"), ("\x01", '"')]),
+                "\x07ü\U0001f600": Relation([("\x01", "\n")]),
+            }
+        )
+    )
+    @example(  # "a|…" keys sort after "a!|…" keys, (a, …) tuples before (a!, …)
+        Atlas({"a": Relation([("z", "0"), ("w", "1")]), "a!": Relation([("z", "2"), ("w", "3")])})
+    )
+    @example(  # charts with no point and with one point
+        Atlas({"a": Relation(), "b": Relation([("z", "0")]), "c": Relation([("z", "1"), ("w", "2")])})
+    )
+    @example(Atlas({"a": Relation()}))
+    @example(Atlas({}))
     @settings(max_examples=150, deadline=None)
     def test_rows_give_the_library_bytes(self, atlas):
         # The handler writes transition rows; the library path builds the

@@ -16,6 +16,7 @@ from sincov.flows import FlowKind, FlowSpec, Seed
 from sincov.systems import Law, ViolationReport
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sincov"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def parsed_sources():
@@ -59,15 +60,60 @@ def test_arithmetic_stays_exact():
     assert inexact == []
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
-    code = (
-        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import sincov.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
+def child_output(code):
+    """What ``code`` prints in a fresh ``python -S`` child importing sincov from src."""
+    prelude = f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
     result = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", prelude + code], capture_output=True, text=True, check=True
     )
-    assert result.stdout == "[]\n"
+    return result.stdout
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    code = "import sincov.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert child_output(code) == "[]\n"
+
+
+LATE = {"fractions", "decimal", "numbers", "sincov.flows", "sincov.systems"}
+
+
+def test_cli_import_loads_only_the_atlas_layer():
+    modules = ast.literal_eval(child_output("import sincov.cli; print(sorted(sys.modules))"))
+    assert LATE.isdisjoint(modules)
+    assert len(modules) < 72  # the ROADMAP's startup bar
+
+
+ATLAS = str(GOLDEN / "pair_system.atlas.json")
+SYSTEM = str(GOLDEN / "pair_system.json")
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["reconstruct", ATLAS], set()),
+        (["axioms", ATLAS], set()),
+        (["iso", ATLAS, ATLAS], set()),
+        (["check", SYSTEM], {"sincov.systems"}),
+        (["solve", SYSTEM], {"sincov.systems"}),
+        (["flow-gen", str(GOLDEN / "blowup_flow.json")], LATE),
+    ],
+    ids=["reconstruct", "axioms", "iso", "check", "solve", "flow-gen"],
+)
+def test_subcommand_loads_only_what_it_runs(argv, loaded):
+    code = (
+        "import contextlib, io; from sincov.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): main({argv!r})\n"
+        "print(sorted(sys.modules))"
+    )
+    assert LATE & set(ast.literal_eval(child_output(code))) == loaded
+
+
+def test_star_import_and_dir_see_every_public_name():
+    code = (
+        "import sincov; listed = dir(sincov); from sincov import *\n"
+        "print([n for n in sincov.__all__ if n not in listed or n not in globals()])"
+    )
+    assert child_output(code) == "[]\n"
 
 
 RECORDS = [
