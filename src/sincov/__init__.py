@@ -31,45 +31,6 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_LAWS",
-    "Atlas",
-    "ChartViolation",
-    "CoinjectivityViolated",
-    "DomainExceeded",
-    "EMPTY",
-    "EqualityCaseViolated",
-    "FlowKind",
-    "FlowSpec",
-    "FormatError",
-    "IndexMismatch",
-    "InvalidAtlas",
-    "Isomorphism",
-    "KindMismatch",
-    "Law",
-    "NotIsomorphic",
-    "PreconditionViolated",
-    "Relation",
-    "Seed",
-    "SincovError",
-    "SincovSystem",
-    "UnknownIndex",
-    "ViolationReport",
-    "build_system",
-    "carrier",
-    "check_at_axioms",
-    "check_sincov",
-    "find_isomorphism",
-    "flow_eval",
-    "reconstruct",
-    "solve_atlas",
-    "solve_via_fixed_index",
-    "transition",
-    "validate_atlas",
-    "vector_field_residual",
-    "verify_isomorphism",
-]
-
 # The submodule that defines each public name.
 _HOMES = {
     "atlas": (
@@ -110,6 +71,7 @@ _HOMES = {
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = sorted(_HOME)
 _SUBMODULES = frozenset(_HOMES) | {"cli", "jsonio"}
 
 

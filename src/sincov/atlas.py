@@ -7,11 +7,13 @@ chart_beta^-1``; two atlases generating the same family differ exactly by a
 carrier bijection, which ``find_isomorphism`` computes and
 ``verify_isomorphism`` checks.
 
-A whole transition family is read off the carrier points in one of two
-ways.  One builder, ``_transitions``, makes ``Relation``s for any atlas,
-valid or not.  One emitter, ``jsonio._generated_text``, makes the wire
-rows of a valid atlas's transitions, which ``sincov reconstruct`` writes
-without building a system.
+A whole transition family is read off the charts by one reader,
+``_rows``, which needs every chart to be a partial map (one element per
+carrier point); it visits only the chart pairs that share a point.
+``_transitions`` makes ``Relation``s from its rows for ``reconstruct``
+and ``flows.build_system``, and ``jsonio._generated_text`` makes the wire
+text that ``sincov reconstruct`` writes without building a system.
+``transition`` reads one pair of charts of any atlas.
 
 ``check_at_axioms`` verifies the set-level fragment of the classical atlas
 axioms: carrier coverage, chart bijectivity, and transition injectivity and
@@ -23,8 +25,10 @@ counterpart and are deliberately not claimed; the report is "set-level" only.
 
 from __future__ import annotations
 
-from collections import defaultdict, namedtuple
-from operator import itemgetter
+from collections import namedtuple
+from functools import reduce
+from itertools import compress, product
+from operator import add, itemgetter, or_
 
 from .errors import IndexMismatch, InvalidAtlas, NotIsomorphic, UnknownIndex
 from .relations import EMPTY, Relation
@@ -117,28 +121,62 @@ def transition(atlas: Atlas, alpha, beta) -> Relation:
     return atlas.chart(alpha).compose(atlas.chart(beta).inverse())
 
 
+def _rows(atlas: Atlas, head, tail):
+    """Every non-empty transition of an atlas whose charts are partial maps
+    (one element per carrier point), as (alpha, beta, items): for each point
+    that chart beta sends to b and chart alpha to a, in b's element order,
+    the item head(b) + tail(a).  Tails must be truthy.
+
+    The carrier points are numbered once, and each chart's heads and tails
+    are made once.  One buffer, indexed by point number, holds chart
+    alpha's tails while its row is read.  Its last slot stays None, so
+    ``itemgetter(*numbers, -1)`` over chart beta's point numbers always
+    returns a tuple, and ``compress`` and ``filter`` keep the points both
+    charts hold, at C speed.  Only the charts that hold one of alpha's
+    points are visited (an int mask per point names them), so the work
+    grows with |chart beta| summed over the non-empty transitions, not with
+    charts x carrier.
+    """
+    numbers, holders = {}, {}  # by point: its number; by number: a bit per chart holding it
+    rows = []  # (alpha, its point numbers, its tails), by element
+    columns = []  # (beta, a picker of its points' buffer slots, its heads), by element
+    for index, chart in atlas.charts.items():
+        if chart.pairs:
+            points, elements = zip(*sorted(chart.pairs, key=itemgetter(1)))
+            at = [numbers.setdefault(z, len(numbers)) for z in points]
+            for number in at:
+                holders[number] = holders.get(number, 0) | 1 << len(rows)
+            rows.append((index, at, list(map(tail, elements))))
+            columns.append((index, itemgetter(*at, -1), list(map(head, elements))))
+    buffer = [None] * (len(numbers) + 1)
+    for alpha, at, tails in rows:
+        for number, item in zip(at, tails):
+            buffer[number] = item
+        partners = reduce(or_, map(holders.__getitem__, at))
+        while partners:
+            bit = partners.bit_length() - 1
+            partners ^= 1 << bit
+            beta, pick, heads = columns[bit]
+            picked = pick(buffer)
+            yield alpha, beta, map(add, compress(heads, picked), filter(None, picked))
+        for number in at:
+            buffer[number] = None
+
+
 def _transitions(atlas: Atlas) -> dict:
-    """Every non-empty ``transition``, keyed (alpha, beta), in one pass: each
-    carrier point z adds (b, a) to (alpha, beta) for its chart pairs (z, a)
-    in alpha and (z, b) in beta, for any atlas, valid or not.  The one
-    builder of transition ``Relation``s, behind ``reconstruct`` and
-    ``flows.build_system`` (flow-gen), whose atlases may repeat a value;
-    ``jsonio._generated_text`` writes a valid atlas's rows as text."""
-    nodes = {}
-    for alpha, chart in atlas.charts.items():
-        for z, a in chart.pairs:
-            nodes.setdefault(z, []).append((alpha, a))
-    rows = {alpha: defaultdict(set) for alpha in atlas.charts}
-    for square in nodes.values():
-        for alpha, a in square:
-            row = rows[alpha]
-            for beta, b in square:
-                row[beta].add((b, a))
+    """Every non-empty ``transition``, keyed (alpha, beta), read off the
+    charts by ``_rows``, which needs every chart to be a partial map; the
+    builder of transition ``Relation``s behind ``reconstruct`` (valid
+    atlases) and ``flows.build_system`` (whose trajectory charts may repeat
+    a value where seeds merge)."""
     return {  # exact pairs already: they are read off normalized charts
         (alpha, beta): Relation._of(frozenset(pairs))
-        for alpha, row in rows.items()
-        for beta, pairs in row.items()
+        for alpha, beta, pairs in _rows(atlas, _single, _single)
     }
+
+
+def _single(x) -> tuple:
+    return (x,)
 
 
 def _raise_invalid(violations):
@@ -249,7 +287,7 @@ def check_at_axioms(atlas: Atlas) -> dict:
 
     bad = {v.index for v in violations}
     transition_failures = []
-    for alpha, beta in sorted((a, b) for a in charts for b in charts if a in bad or b in bad):
+    for alpha, beta in sorted({*product(bad, charts), *product(charts, bad)}):
         t = transition(atlas, alpha, beta)
         failed = []
         if not t.is_injective():

@@ -151,7 +151,8 @@ def build_system(spec: FlowSpec, time_grid, seeds) -> SincovSystem:
     # Values by grid position, None where undefined.  The charts stringify
     # each value once; str is injective on reduced fractions, so nothing
     # merges that Fraction equality keeps apart.  Merged seeds make a chart
-    # non-injective, which ``_transitions`` allows and ``reconstruct`` rejects.
+    # non-injective, which ``_transitions`` allows (each point still has one
+    # value per time) and ``reconstruct`` rejects.
     trajectories = [[flow_eval(spec, t, seed.time, seed.value) for t in grid] for seed in seeds]
     charts = {
         t: Relation((z, traj[i]) for z, traj in enumerate(trajectories) if traj[i] is not None)

@@ -23,11 +23,11 @@ Formats:
 from __future__ import annotations
 
 import json
-from itertools import chain, compress
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import add, itemgetter
 
 from .atlas import Atlas, Isomorphism, chart_violation_to_obj  # re-exported with the other formats
+from .atlas import _rows
 from .errors import FormatError
 from .relations import Relation
 
@@ -157,49 +157,18 @@ def _generated_text(atlas: Atlas, layout) -> str:
     """``system_to_obj(reconstruct(atlas))`` as text in ``layout``, written
     from the charts of an atlas that ``validate_atlas`` passes.
 
-    The carrier points are numbered once and each chart pair (z, a) is
-    encoded once, with json's own escaping.  Every chart is a partial
-    bijection, so transition (alpha, beta) holds one pair (b, a) for each
-    point z of chart beta that chart alpha also holds, and walking chart
-    beta's points in element order yields its pairs sorted.  So each row is
-    read at C speed: one ``itemgetter`` over beta's point numbers picks
-    alpha's encoded elements, and ``compress`` and ``filter`` keep the
-    points both charts hold.  The keys sort as ``"alpha|beta"`` strings,
-    not as (alpha, beta) tuples, as the encoder sorts them.
+    ``atlas._rows`` reads each transition's pairs off the charts, each as
+    its encoded "[b," head and "a]" tail, with json's own escaping; every
+    chart is a partial bijection, so b's element order is the pairs' sorted
+    order.  The keys sort as ``"alpha|beta"`` strings, not as (alpha, beta)
+    tuples, as the encoder sorts them.
     """
     br, colon = layout
-    point_numbers = {}
-    encoded = {}  # index -> (its point numbers, its encoded elements), by element
-    for index, chart in atlas.charts.items():
-        if chart.pairs:
-            points, elements = zip(*sorted(chart.pairs, key=itemgetter(1)))
-            numbers = [point_numbers.setdefault(z, len(point_numbers)) for z in points]
-            encoded[index] = numbers, list(map(encode_basestring_ascii, elements))
-
-    pair_open, pair_mid, pair_close = f"[{br[4]}", f",{br[4]}", f"{br[3]}]"
-    tails = {}  # alpha -> by point number: "a]" for its pair (z, a), else None
-    heads = []  # (beta, picker of beta's points, "[b," per point), by element
-    for index, (numbers, texts) in encoded.items():
-        tail = tails[index] = [None] * len(point_numbers)
-        for number, text in zip(numbers, texts):
-            tail[number] = text + pair_close
-        # itemgetter of one item returns it bare; a one-point slice is a list.
-        first = numbers[0]
-        picker = itemgetter(*numbers) if len(numbers) > 1 else itemgetter(slice(first, first + 1))
-        heads.append((index, picker, [f"{pair_open}{text}{pair_mid}" for text in texts]))
-
-    pair_sep = f",{br[3]}"
-    rows = []
-    for alpha, tail in tails.items():
-        for beta, picker, opened in heads:
-            picked = picker(tail)
-            row = pair_sep.join(map(add, compress(opened, picked), filter(None, picked)))
-            if row:
-                rows.append((f"{alpha}{KEY_SEPARATOR}{beta}", row))
-    rows.sort()
-
-    relations = [f"{encode_basestring_ascii(key)}{colon}[{br[3]}{row}{br[2]}]" for key, row in rows]
-    indices = list(map(encode_basestring_ascii, sorted(atlas.charts)))
+    encode, sep = encode_basestring_ascii, f",{br[3]}"
+    pairs = _rows(atlas, lambda b: f"[{br[4]}{encode(b)},{br[4]}", lambda a: f"{encode(a)}{br[3]}]")
+    rows = sorted((f"{alpha}{KEY_SEPARATOR}{beta}", sep.join(row)) for alpha, beta, row in pairs)
+    relations = [f"{encode(key)}{colon}[{br[3]}{row}{br[2]}]" for key, row in rows]
+    indices = list(map(encode, sorted(atlas.charts)))
     return (
         f'{{{br[1]}"indices"{colon}{_members("[", indices, "]", br, 1)},'
         f'{br[1]}"relations"{colon}{_members("{", relations, "}", br, 1)}{br[0]}}}'

@@ -205,8 +205,8 @@ def solve_atlas(system: SincovSystem) -> Atlas:
 def reconstruct(atlas: Atlas) -> SincovSystem:
     """The transition-relation system generated by an atlas.
 
-    Phi[alpha, beta] = chart_alpha o chart_beta^-1, read off the carrier
-    points by ``atlas._transitions``.  The result always passes
+    Phi[alpha, beta] = chart_alpha o chart_beta^-1, read off the charts
+    by ``atlas._transitions``.  The result always passes
     ``check_sincov``.  Raises InvalidAtlas naming the first chart that is
     not a partial bijection (its ``violations`` lists them all).
     """

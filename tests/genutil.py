@@ -201,14 +201,17 @@ def atlases_st(draw):
 
 
 @st.composite
-def raw_atlases_st(draw):
+def raw_atlases_st(draw, partial_maps=False):
     """Atlases whose charts are arbitrary relations, so mostly not partial
-    bijections: few points and elements make shared ones likely."""
+    bijections: few points and elements make shared ones likely.  With
+    ``partial_maps`` each chart sends a point to one element, and may still
+    send two points to one element, as merged flow seeds do."""
     indices = draw(
         st.lists(st.sampled_from(INDEX_POOL), min_size=1, max_size=4, unique=True)
     )
     pairs = st.tuples(st.sampled_from(["z0", "z1", "z2"]), st.sampled_from(ELEMENT_POOL[:4]))
-    return Atlas({alpha: Relation(draw(st.lists(pairs, max_size=5))) for alpha in indices})
+    charts = st.lists(pairs, max_size=5, unique_by=(lambda p: p[0]) if partial_maps else None)
+    return Atlas({alpha: Relation(draw(charts)) for alpha in indices})
 
 
 @st.composite

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import sincov
 from sincov import Relation
 from sincov.atlas import ChartViolation, Isomorphism
 from sincov.flows import FlowKind, FlowSpec, Seed
@@ -114,6 +115,21 @@ def test_star_import_and_dir_see_every_public_name():
         "print([n for n in sincov.__all__ if n not in listed or n not in globals()])"
     )
     assert child_output(code) == "[]\n"
+
+
+PUBLIC_NAMES = [
+    "ALL_LAWS", "Atlas", "ChartViolation", "CoinjectivityViolated", "DomainExceeded", "EMPTY",
+    "EqualityCaseViolated", "FlowKind", "FlowSpec", "FormatError", "IndexMismatch",
+    "InvalidAtlas", "Isomorphism", "KindMismatch", "Law", "NotIsomorphic",
+    "PreconditionViolated", "Relation", "Seed", "SincovError", "SincovSystem", "UnknownIndex",
+    "ViolationReport", "build_system", "carrier", "check_at_axioms", "check_sincov",
+    "find_isomorphism", "flow_eval", "reconstruct", "solve_atlas", "solve_via_fixed_index",
+    "transition", "validate_atlas", "vector_field_residual", "verify_isomorphism",
+]
+
+
+def test_public_names_stay_the_same():
+    assert sincov.__all__ == PUBLIC_NAMES
 
 
 RECORDS = [
