@@ -1,13 +1,14 @@
 """A fixed corpus of sincov invocations, and the sha256 of what each prints.
 
-Every case is one ``cli.main`` call, run in-process on a seeded input
-document read from stdin: valid, thinned and mutated systems and atlases,
-disjoint one-point charts and a hub atlas, escaped and look-alike ids,
-empty charts, all four flow kinds and malformed documents, each under
-every subcommand it admits, canonical and ``--pretty``.  A case's hash
-covers its exit code and stdout, and its stderr only where sincov writes
-all of that text: the messages of ``json``, ``argparse``, codecs and int
-conversion differ across Python versions, so those cases leave stderr out.
+Every case is one subcommand run in-process through ``cli.main``, canonical
+and ``--pretty``, on a seeded input document read from stdin: valid,
+thinned and mutated systems and atlases, disjoint one-point charts and a
+hub atlas, escaped and look-alike ids, empty charts, all four flow kinds
+and malformed documents, each under every subcommand it admits.  A case's
+hash covers both runs' exit codes and stdout, and their stderr only where
+sincov writes all of that text: the messages of ``json``, ``argparse``,
+codecs and int conversion differ across Python versions, so those cases
+leave stderr out.
 
 The inputs are built here from ``random.Random`` seeds and the definition
 Phi[alpha, beta] = chart_alpha o chart_beta^-1, without sincov, so a
@@ -153,7 +154,7 @@ def system_doc(system) -> bytes:
 
 
 def documents():
-    """(name, stdin bytes, own stderr, argv list, iso partner bytes or None)."""
+    """(name, stdin bytes, own stderr, argv lists, iso partner bytes or None)."""
     docs = []
 
     def atlas(name, charts, partner=None):

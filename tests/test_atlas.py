@@ -162,7 +162,6 @@ class TestTransition:
             for key, row in rows.items():
                 assert row == sorted(map(list, pairs[key]))  # so sorted and repeat-free
 
-
     def test_emission_memory_follows_the_rows(self):
         # Disjoint one-point charts each meet only themselves: 3000 rows,
         # written without a slot per chart and carrier point.
