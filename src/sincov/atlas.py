@@ -164,11 +164,11 @@ def _rows(atlas: Atlas, head, tail):
 
 
 def _transitions(atlas: Atlas) -> dict:
-    """Every non-empty ``transition``, keyed (alpha, beta), read off the
-    charts by ``_rows``, which needs every chart to be a partial map; the
-    builder of transition ``Relation``s behind ``reconstruct`` (valid
-    atlases) and ``flows.build_system`` (whose trajectory charts may repeat
-    a value where seeds merge)."""
+    """Every non-empty ``transition``, keyed (alpha, beta), as ``Relation``s
+    read off the charts by ``_rows``, which needs every chart to be a
+    partial map: behind ``reconstruct`` (valid atlases) and
+    ``flows.build_system`` (whose trajectory charts may repeat a value
+    where seeds merge)."""
     return {  # exact pairs already: they are read off normalized charts
         (alpha, beta): Relation._of(frozenset(pairs))
         for alpha, beta, pairs in _rows(atlas, _single, _single)
