@@ -26,9 +26,8 @@ counterpart and are deliberately not claimed; the report is "set-level" only.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import reduce
 from itertools import compress, product
-from operator import add, itemgetter, or_
+from operator import add, itemgetter
 
 from .errors import IndexMismatch, InvalidAtlas, NotIsomorphic, UnknownIndex
 from .relations import EMPTY, Relation
@@ -133,11 +132,10 @@ def _rows(atlas: Atlas, head, tail):
     ``itemgetter(*numbers, -1)`` over chart beta's point numbers always
     returns a tuple, and ``compress`` and ``filter`` keep the points both
     charts hold, at C speed.  Only the charts that hold one of alpha's
-    points are visited (an int mask per point names them), so the work
-    grows with |chart beta| summed over the non-empty transitions, not with
-    charts x carrier.
+    points are visited (each point lists the charts holding it), so finding
+    them costs the pair count P in all, and reading a row costs |chart beta|.
     """
-    numbers, holders = {}, {}  # by point: its number; by number: a bit per chart holding it
+    numbers, holders = {}, {}  # by point: its number; by number: the charts holding it
     rows = []  # (alpha, its point numbers, its tails), by element
     columns = []  # (beta, a picker of its points' buffer slots, its heads), by element
     for index, chart in atlas.charts.items():
@@ -145,18 +143,15 @@ def _rows(atlas: Atlas, head, tail):
             points, elements = zip(*sorted(chart.pairs, key=itemgetter(1)))
             at = [numbers.setdefault(z, len(numbers)) for z in points]
             for number in at:
-                holders[number] = holders.get(number, 0) | 1 << len(rows)
+                holders.setdefault(number, []).append(len(rows))
             rows.append((index, at, list(map(tail, elements))))
             columns.append((index, itemgetter(*at, -1), list(map(head, elements))))
     buffer = [None] * (len(numbers) + 1)
     for alpha, at, tails in rows:
         for number, item in zip(at, tails):
             buffer[number] = item
-        partners = reduce(or_, map(holders.__getitem__, at))
-        while partners:
-            bit = partners.bit_length() - 1
-            partners ^= 1 << bit
-            beta, pick, heads = columns[bit]
+        for k in set().union(*map(holders.__getitem__, at)):
+            beta, pick, heads = columns[k]
             picked = pick(buffer)
             yield alpha, beta, map(add, compress(heads, picked), filter(None, picked))
         for number in at:

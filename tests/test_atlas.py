@@ -135,7 +135,7 @@ class TestTransition:
                 assert transitions.get((alpha, beta), EMPTY) == transition(atlas, alpha, beta)
         assert all(transitions.values())
 
-    @given(st.one_of(atlases_st(), raw_atlases_st(partial_maps=True)))
+    @given(st.one_of(atlases_st(), raw_atlases_st()))
     @example(Atlas({"a": Relation([(Label("z"), Label("0")), (1, 2)]), 3: Relation([("z", 4)])}))
     @settings(max_examples=100)
     def test_transitions_hold_exact_strings(self, atlas):
@@ -162,18 +162,21 @@ class TestTransition:
             for key, row in rows.items():
                 assert row == sorted(map(list, pairs[key]))  # so sorted and repeat-free
 
-    def test_emission_memory_follows_the_rows(self):
-        # Disjoint one-point charts each meet only themselves: 3000 rows,
-        # written without a slot per chart and carrier point.
-        atlas = Atlas({f"i{k}": Relation([(f"z{k}", f"e{k}")]) for k in range(3000)})
+    @pytest.mark.parametrize("charts, mib", [(3000, 8), (30000, 40)])
+    def test_emission_memory_follows_the_rows(self, charts, mib):
+        # Disjoint one-point charts each meet only themselves: one row per
+        # chart, written without a slot per chart and carrier point.  An
+        # index as wide as the chart count per point (int masks: charts^2/16
+        # bytes, 56 MB at 30 000) fails the larger case.
+        atlas = Atlas({f"i{k}": Relation([(f"z{k}", f"e{k}")]) for k in range(charts)})
         tracemalloc.start()
         try:
             text = jsonio.canonical_dumps(jsonio.GeneratedSystem(atlas))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert text.count("|") == 3000
-        assert peak < 8 * 2**20
+        assert text.count("|") == charts
+        assert peak < mib * 2**20
 
 
 class TestCarrier:
