@@ -1,14 +1,15 @@
 """A fixed corpus of sincov invocations, and the sha256 of what each prints.
 
-Every case is one subcommand run in-process through ``cli.main``, canonical
-and ``--pretty``, on a seeded input document read from stdin: valid,
-thinned and mutated systems and atlases, disjoint one-point charts and a
-hub atlas, escaped and look-alike ids, empty charts, all four flow kinds
-and malformed documents, each under every subcommand it admits.  A case's
-hash covers both runs' exit codes and stdout, and their stderr only where
-sincov writes all of that text: the messages of ``json``, ``argparse``,
-codecs and int conversion differ across Python versions, so those cases
-leave stderr out.
+Every case is one subcommand run in-process through ``cli.main``,
+canonical and ``--pretty``, on a seeded input document read from stdin:
+valid, thinned and mutated systems and atlases, disjoint one-point charts
+and a hub atlas, escaped and look-alike ids, empty charts, all four flow
+kinds (merged seeds and trajectories cut short included) and malformed
+documents, each under every subcommand it admits.  A case's hash covers
+both runs' exit codes and stdout, and their stderr only where sincov
+writes all of that text: the messages of ``json``, ``argparse``, codecs
+and int conversion differ across Python versions, so those cases leave
+stderr out.
 
 The inputs are built here from ``random.Random`` seeds and the definition
 Phi[alpha, beta] = chart_alpha o chart_beta^-1, without sincov, so a
@@ -227,6 +228,15 @@ def documents():
     flow("merged-seeds", "translation", "0 1 2", ["0:0", "1:1", "2:5"])
     swap = {"a": "b", "b": "a"}
     flow("merged-permutation", "permutation", "0 1", ["0:a", "1:b"], permutation=swap)
+    flow("merged-blowup", "blowup", "-1 0 1/2 1 2", ["0:1", "1/2:2"])
+    flow("merged-doubling", "doubling", "-1 0 1 2", ["0:3", "1:6"])
+    flow("blowup-cut-short", "blowup", "0 1 2", ["0:1"])
+    labels = ["é", '"', " ", "\\", "\U0001d11e", "a!"]
+    shift = dict(zip(labels, labels[1:] + labels[:1]))
+    flow("escaped-permutation", "permutation", "0 1 3", ["0:é", "1:a!"], permutation=shift)
+    merged = ["0: ", "2:\U0001d11e"]
+    flow("merged-escaped-permutation", "permutation", "0 2", merged, permutation=shift)
+    flow("merged-translation", "translation", "0 1 2 3", ["0:0", "1:1", "3:3"])
     flow("no-seeds", "blowup", "0 1")
     flow("off-grid-seed", "translation", "0", ["1:0"])
     flow("fractional-discrete", "doubling", "0 1/2", [])
