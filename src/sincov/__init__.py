@@ -22,9 +22,9 @@ submodule loads on first use (PEP 562): reading ``sincov.Relation`` imports
 (with ``atlas``, ``relations`` and ``errors``, which it imports).  So a
 ``python -m sincov`` child loads only what its subcommand runs:
 ``reconstruct``, ``axioms`` and ``iso`` never load ``systems``, ``flows``
-or ``fractions``, and ``check`` and ``solve`` never load ``flows`` or
-``fractions``.  ``from sincov import *`` and ``dir(sincov)`` still see
-every public name.
+or ``fractions``, ``check`` and ``solve`` never load ``flows`` or
+``fractions``, and ``flow-gen`` never loads ``systems``.  ``from sincov
+import *`` and ``dir(sincov)`` still see every public name.
 """
 
 from importlib import import_module

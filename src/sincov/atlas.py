@@ -7,13 +7,12 @@ chart_beta^-1``; two atlases generating the same family differ exactly by a
 carrier bijection, which ``find_isomorphism`` computes and
 ``verify_isomorphism`` checks.
 
-A whole transition family is read off the charts by one reader,
-``_rows``, which needs every chart to be a partial map (one element per
-carrier point); it visits only the chart pairs that share a point.
-``_transitions`` makes ``Relation``s from its rows for ``reconstruct``
-and ``flows.build_system``, and ``jsonio._generated_text`` makes the wire
-text that ``sincov reconstruct`` writes without building a system.
-``transition`` reads one pair of charts of any atlas.
+A whole transition family is read off the charts of a valid atlas by one
+reader, ``_rows``, which visits only the chart pairs that share a point.
+``systems.reconstruct`` makes ``Relation``s from its rows, and
+``jsonio._generated_text`` makes the wire text that ``sincov reconstruct``
+and ``sincov flow-gen`` write without building a system.  ``transition``
+reads one pair of charts of any atlas.
 
 ``check_at_axioms`` verifies the set-level fragment of the classical atlas
 axioms: carrier coverage, chart bijectivity, and transition injectivity and
@@ -25,7 +24,7 @@ counterpart and are deliberately not claimed; the report is "set-level" only.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import compress, product
 from operator import add, itemgetter
 
@@ -84,15 +83,9 @@ def chart_violation_to_obj(violation) -> dict:
 
 
 def _least_conflicting_pair(rel: Relation, component: int) -> tuple:
-    # Smallest pair participating in a duplicated component; deterministic.
-    groups = {}
-    for pair in rel.pairs:
-        groups.setdefault(pair[component], []).append(pair)
-    conflicting = set()
-    for members in groups.values():
-        if len(members) > 1:
-            conflicting.update(members)
-    return min(conflicting)
+    # Smallest pair whose component another pair shares; deterministic.
+    counts = Counter(map(itemgetter(component), rel.pairs))
+    return min(pair for pair in rel.pairs if counts[pair[component]] > 1)
 
 
 def validate_atlas(atlas: Atlas) -> list:
@@ -121,10 +114,11 @@ def transition(atlas: Atlas, alpha, beta) -> Relation:
 
 
 def _rows(atlas: Atlas, head, tail):
-    """Every non-empty transition of an atlas whose charts are partial maps
-    (one element per carrier point), as (alpha, beta, items): for each point
-    that chart beta sends to b and chart alpha to a, in b's element order,
-    the item head(b) + tail(a).  Tails must be truthy.
+    """Every non-empty transition of a valid atlas (every chart a partial
+    bijection), as (alpha, beta, items): for each point that chart beta
+    sends to b and chart alpha to a, in b's element order, the item
+    head(b) + tail(a).  Tails must be truthy.  Behind
+    ``systems.reconstruct`` and ``jsonio._generated_text``.
 
     The carrier points are numbered once, and each chart's heads and tails
     are made once.  One buffer, indexed by point number, holds chart
@@ -156,22 +150,6 @@ def _rows(atlas: Atlas, head, tail):
             yield alpha, beta, map(add, compress(heads, picked), filter(None, picked))
         for number in at:
             buffer[number] = None
-
-
-def _transitions(atlas: Atlas) -> dict:
-    """Every non-empty ``transition``, keyed (alpha, beta), as ``Relation``s
-    read off the charts by ``_rows``, which needs every chart to be a
-    partial map: behind ``reconstruct`` (valid atlases) and
-    ``flows.build_system`` (whose trajectory charts may repeat a value
-    where seeds merge)."""
-    return {  # exact pairs already: they are read off normalized charts
-        (alpha, beta): Relation._of(frozenset(pairs))
-        for alpha, beta, pairs in _rows(atlas, _single, _single)
-    }
-
-
-def _single(x) -> tuple:
-    return (x,)
 
 
 def _raise_invalid(violations):

@@ -22,11 +22,13 @@ which is decoded as strict UTF-8 under every locale, as files are.  Stdin
 is read at most once, so repeated "-" arguments name the same document:
 ``sincov iso - -`` compares the atlas on stdin with itself.
 
-A child loads only the layers its subcommand runs: the ``systems`` and
-``flows`` functions bound below import their module at their first call.
-``reconstruct`` is bound although no subcommand calls it (``sincov
-reconstruct`` writes the transition rows from the charts), because
-bench/tracing.py patches ``cli.reconstruct``.
+A child loads only the layers its subcommand runs: the ``systems``
+functions bound below import their module at their first call, and
+``flow-gen``, which writes its trajectory atlas's rows as ``reconstruct``
+does, loads ``flows`` but no ``systems``.  ``reconstruct`` and
+``build_system`` are bound although no subcommand calls them (``sincov
+reconstruct`` and ``sincov flow-gen`` write the transition rows from the
+charts), because bench/tracing.py patches these names.
 """
 
 from __future__ import annotations
@@ -69,13 +71,13 @@ def _bound_at_first_call(module, name):
     return stand_in
 
 
-build_system = _bound_at_first_call("flows", "build_system")
 check_sincov = _bound_at_first_call("systems", "check_sincov")
 solve_atlas = _bound_at_first_call("systems", "solve_atlas")
 solve_via_fixed_index = _bound_at_first_call("systems", "solve_via_fixed_index")
-# Never called here, as the reconstruct subcommand writes transition rows;
-# bound because bench/tracing.py patches this reference.
+# Never called here, as the reconstruct and flow-gen subcommands write
+# transition rows; bound because bench/tracing.py patches these references.
 reconstruct = _bound_at_first_call("systems", "reconstruct")
+build_system = _bound_at_first_call("flows", "build_system")
 
 
 def _load(path):
@@ -180,14 +182,15 @@ def _cmd_axioms(args):
 
 
 def _cmd_flow_gen(args):
+    # The system the trajectory atlas generates, written from its charts as
+    # _cmd_reconstruct's is: build_system's bytes, with no SincovSystem.
+    from .flows import _trajectory_atlas
+
     spec, grid, seeds = jsonio.flow_from_obj(_load(args.file))
     try:
-        system = build_system(spec, grid, seeds)
+        return jsonio.GeneratedSystem(_trajectory_atlas(spec, grid, seeds)), 0
     except (KindMismatch, ValueError) as exc:
         raise FormatError(str(exc)) from None
-    # Sorted pair tuples, which the encoder writes as system_to_obj's arrays.
-    rows = ((key, sorted(rel.pairs)) for key, rel in system.relations.items())
-    return jsonio._system_obj(system.indices, rows), 0
 
 
 def _build_parser():

@@ -23,9 +23,10 @@ invertible role in the discrete setting.
 
 ``build_system`` samples whole trajectories on a time grid, never single
 applications of F.  Each trajectory is one carrier point, whose element in
-the chart at grid time t is its value there, so a flow system is the system
-its trajectory atlas generates: it satisfies all three transition-relation
-laws exactly, with partiality (from blow-up) appearing as genuinely strict
+the chart at grid time t is its value there.  That trajectory atlas is
+valid (seeds on one trajectory merge into one point), and ``build_system``
+is ``reconstruct`` of it: it satisfies all three transition-relation laws
+exactly, with partiality (from blow-up) appearing as genuinely strict
 containments.
 """
 
@@ -35,10 +36,9 @@ import enum
 from collections import namedtuple
 from fractions import Fraction
 
-from .atlas import Atlas, _transitions
+from .atlas import Atlas
 from .errors import DomainExceeded, KindMismatch
 from .relations import Relation
-from .systems import SincovSystem
 
 
 class FlowKind(enum.Enum):
@@ -128,14 +128,14 @@ def flow_eval(spec: FlowSpec, tau, alpha, a):
     return orbit[int(tau - alpha) % len(orbit)]
 
 
-def build_system(spec: FlowSpec, time_grid, seeds) -> SincovSystem:
-    """The system that the seeds' trajectory atlas generates on a grid.
+def _trajectory_atlas(spec: FlowSpec, time_grid, seeds) -> Atlas:
+    """The seeds' trajectory atlas on a grid: a chart per grid time, and a
+    carrier point per trajectory, sent to its value wherever it is defined.
 
-    Indices are the grid times; each trajectory is a carrier point, in the
-    chart at time t wherever it is defined there, with its value at t.  Seeds
-    on a common trajectory merge; trajectories cut short by blow-up leave
-    the corresponding entries strictly partial.  The output always passes
-    ``check_sincov``.
+    Seeds on a common trajectory give one value tuple, which is kept once.
+    Two trajectories that share a value at one grid time are one solution,
+    so they agree at every grid time; the charts are therefore partial
+    bijections, and the atlas is valid.
     """
     grid = sorted({Fraction(t) for t in time_grid})
     if spec.kind in DISCRETE_KINDS:
@@ -150,15 +150,31 @@ def build_system(spec: FlowSpec, time_grid, seeds) -> SincovSystem:
 
     # Values by grid position, None where undefined.  The charts stringify
     # each value once; str is injective on reduced fractions, so nothing
-    # merges that Fraction equality keeps apart.  Merged seeds make a chart
-    # non-injective, which ``_transitions`` allows (each point still has one
-    # value per time) and ``reconstruct`` rejects.
-    trajectories = [[flow_eval(spec, t, seed.time, seed.value) for t in grid] for seed in seeds]
-    charts = {
-        t: Relation((z, traj[i]) for z, traj in enumerate(trajectories) if traj[i] is not None)
-        for i, t in enumerate(grid)
-    }
-    return SincovSystem(grid, _transitions(Atlas(charts)))
+    # merges that Fraction equality keeps apart.
+    trajectories = dict.fromkeys(
+        tuple(flow_eval(spec, t, seed.time, seed.value) for t in grid) for seed in seeds
+    )
+    return Atlas(
+        {
+            t: Relation((z, traj[i]) for z, traj in enumerate(trajectories) if traj[i] is not None)
+            for i, t in enumerate(grid)
+        }
+    )
+
+
+def build_system(spec: FlowSpec, time_grid, seeds) -> SincovSystem:
+    """The system that the seeds' trajectory atlas generates on a grid:
+    ``reconstruct`` of ``_trajectory_atlas``.
+
+    Indices are the grid times; each trajectory is a carrier point, in the
+    chart at time t wherever it is defined there, with its value at t.  Seeds
+    on a common trajectory merge; trajectories cut short by blow-up leave
+    the corresponding entries strictly partial.  The output always passes
+    ``check_sincov``.
+    """
+    from .systems import reconstruct
+
+    return reconstruct(_trajectory_atlas(spec, time_grid, seeds))
 
 
 def vector_field_residual(spec: FlowSpec, tau, x, h) -> Fraction:

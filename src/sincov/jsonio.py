@@ -33,16 +33,12 @@ from .relations import Relation
 
 KEY_SEPARATOR = "|"
 
-# The line break before a member at each nesting depth, and the key
-# separator, of canonical_dumps' and pretty_dumps' layouts.
-_COMPACT = ([""] * 5, ":")
-_INDENTED = (["\n" + "  " * depth for depth in range(5)], ": ")
-
 
 class GeneratedSystem:
     """The system a valid atlas generates, as a payload: ``canonical_dumps``
-    and ``pretty_dumps`` write it straight from the charts, in the bytes
-    they give ``system_to_obj(reconstruct(atlas))``."""
+    writes it straight from the charts, in the bytes it gives
+    ``system_to_obj(reconstruct(atlas))``, and ``pretty_dumps`` re-reads
+    that text and indents it."""
 
     __slots__ = ("atlas",)
 
@@ -53,13 +49,13 @@ class GeneratedSystem:
 # Payloads are trees that sincov builds, so a cycle scan could never fire.
 def canonical_dumps(payload) -> str:
     if type(payload) is GeneratedSystem:
-        return _generated_text(payload.atlas, _COMPACT)
+        return _generated_text(payload.atlas)
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def pretty_dumps(payload) -> str:
     if type(payload) is GeneratedSystem:
-        return _generated_text(payload.atlas, _INDENTED)
+        payload = json.loads(_generated_text(payload.atlas))
     return json.dumps(payload, sort_keys=True, indent=2, check_circular=False)
 
 
@@ -111,22 +107,16 @@ def _check_index_id(index):
     return index
 
 
-def _system_obj(indices, relations) -> dict:
-    """The system wire format from its index ids and the non-empty relations
-    as ((alpha, beta), pair array) items.  ``sincov flow-gen`` hands it
-    sorted (b, a) tuples, which the encoder writes as arrays, so its bytes
-    equal ``system_to_obj``'s."""
-    for index in indices:
+def system_to_obj(system: SincovSystem) -> dict:
+    for index in system.indices:
         _check_index_id(index)
     return {
-        "indices": sorted(indices),
-        "relations": {f"{alpha}{KEY_SEPARATOR}{beta}": pairs for (alpha, beta), pairs in relations},
+        "indices": sorted(system.indices),
+        "relations": {
+            f"{alpha}{KEY_SEPARATOR}{beta}": relation_to_obj(rel)
+            for (alpha, beta), rel in system.relations.items()
+        },
     }
-
-
-def system_to_obj(system: SincovSystem) -> dict:
-    relations = system.relations
-    return _system_obj(system.indices, zip(relations, map(relation_to_obj, relations.values())))
 
 
 def system_from_obj(obj) -> SincovSystem:
@@ -153,9 +143,9 @@ def system_from_obj(obj) -> SincovSystem:
     return SincovSystem(indices, relations)
 
 
-def _generated_text(atlas: Atlas, layout) -> str:
-    """``system_to_obj(reconstruct(atlas))`` as text in ``layout``, written
-    from the charts of an atlas that ``validate_atlas`` passes.
+def _generated_text(atlas: Atlas) -> str:
+    """``canonical_dumps(system_to_obj(reconstruct(atlas)))``, written from
+    the charts of an atlas that ``validate_atlas`` passes.
 
     ``atlas._rows`` reads each transition's pairs off the charts, each as
     its encoded "[b," head and "a]" tail, with json's own escaping; every
@@ -163,23 +153,12 @@ def _generated_text(atlas: Atlas, layout) -> str:
     order.  The keys sort as ``"alpha|beta"`` strings, not as (alpha, beta)
     tuples, as the encoder sorts them.
     """
-    br, colon = layout
-    encode, sep = encode_basestring_ascii, f",{br[3]}"
-    pairs = _rows(atlas, lambda b: f"[{br[4]}{encode(b)},{br[4]}", lambda a: f"{encode(a)}{br[3]}]")
-    rows = sorted((f"{alpha}{KEY_SEPARATOR}{beta}", sep.join(row)) for alpha, beta, row in pairs)
-    relations = [f"{encode(key)}{colon}[{br[3]}{row}{br[2]}]" for key, row in rows]
-    indices = list(map(encode, sorted(atlas.charts)))
-    return (
-        f'{{{br[1]}"indices"{colon}{_members("[", indices, "]", br, 1)},'
-        f'{br[1]}"relations"{colon}{_members("{", relations, "}", br, 1)}{br[0]}}}'
-    )
-
-
-def _members(open_, members, close, br, depth) -> str:
-    # json's layout of an array or object at ``depth`` from encoded members.
-    if not members:
-        return open_ + close
-    return f"{open_}{br[depth + 1]}{f',{br[depth + 1]}'.join(members)}{br[depth]}{close}"
+    encode = encode_basestring_ascii
+    pairs = _rows(atlas, lambda b: f"[{encode(b)},", lambda a: f"{encode(a)}]")
+    rows = sorted((f"{alpha}{KEY_SEPARATOR}{beta}", ",".join(row)) for alpha, beta, row in pairs)
+    relations = ",".join(f"{encode(key)}:[{row}]" for key, row in rows)
+    indices = ",".join(map(encode, sorted(atlas.charts)))
+    return f'{{"indices":[{indices}],"relations":{{{relations}}}}}'
 
 
 def violation_to_obj(report) -> dict:

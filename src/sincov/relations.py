@@ -29,7 +29,7 @@ to key by the value.
 Two internal sites hold exact pairs already and skip that pass through
 the private ``Relation._of``: ``jsonio.relation_from_obj``, once its
 C-level checks have found two-element lists of exact ``str`` (all that
-JSON text parses to), and ``atlas._transitions``, whose pairs are read
+JSON text parses to), and ``systems.reconstruct``, whose pairs are read
 off charts that a constructor normalized.
 """
 

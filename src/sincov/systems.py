@@ -26,7 +26,7 @@ from collections import Counter, defaultdict, namedtuple
 from itertools import chain, compress, repeat, starmap, tee
 from operator import itemgetter, ne
 
-from .atlas import Atlas, _raise_invalid, _transitions, validate_atlas
+from .atlas import Atlas, _raise_invalid, _rows, validate_atlas
 from .errors import (
     EqualityCaseViolated,
     PreconditionViolated,
@@ -205,15 +205,26 @@ def solve_atlas(system: SincovSystem) -> Atlas:
 def reconstruct(atlas: Atlas) -> SincovSystem:
     """The transition-relation system generated by an atlas.
 
-    Phi[alpha, beta] = chart_alpha o chart_beta^-1, read off the charts
-    by ``atlas._transitions``.  The result always passes
-    ``check_sincov``.  Raises InvalidAtlas naming the first chart that is
-    not a partial bijection (its ``violations`` lists them all).
+    Phi[alpha, beta] = chart_alpha o chart_beta^-1, each non-empty one
+    read off the charts by ``atlas._rows`` as (b, a) 1-tuple sums.  The
+    result always passes ``check_sincov``.  Raises InvalidAtlas naming the
+    first chart that is not a partial bijection (its ``violations`` lists
+    them all).
     """
     violations = validate_atlas(atlas)
     if violations:
         _raise_invalid(violations)
-    return SincovSystem(atlas.charts.keys(), _transitions(atlas))
+
+    def single(x):
+        return (x,)
+
+    return SincovSystem(
+        atlas.charts.keys(),
+        {  # exact pairs already: they are read off normalized charts
+            (alpha, beta): Relation._of(frozenset(pairs))
+            for alpha, beta, pairs in _rows(atlas, single, single)
+        },
+    )
 
 
 def solve_via_fixed_index(system: SincovSystem, gamma) -> Atlas:

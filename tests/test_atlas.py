@@ -38,7 +38,7 @@ from sincov import (
 )
 import sincov.atlas
 from sincov import jsonio
-from sincov.atlas import _match_charts, _transitions
+from sincov.atlas import _match_charts
 from test_systems import pair_system, swap_system, two_class_system
 
 
@@ -120,27 +120,27 @@ class TestTransition:
                     assert left <= transition(atlas, alpha, gamma)
 
     def test_transition_reads_any_atlas(self):
-        # A chart that sends a point to two elements: _transitions' charts
-        # must be partial maps, transition's need not be.
+        # A chart that sends a point to two elements: reconstruct's charts
+        # must be partial bijections, transition's need not be.
         atlas = Atlas({"a": Relation([("z0", "0"), ("z0", "1")])})
         expected = Relation([(b, a) for b in "01" for a in "01"])
         assert transition(atlas, "a", "a") == expected
 
-    @given(st.one_of(atlases_st(), raw_atlases_st(partial_maps=True)))
+    @given(atlases_st())
     @settings(max_examples=100)
     def test_one_pass_transitions_match_each_pair(self, atlas):
-        transitions = _transitions(atlas)
+        transitions = reconstruct(atlas).relations
         for alpha in atlas.indices:
             for beta in atlas.indices:
                 assert transitions.get((alpha, beta), EMPTY) == transition(atlas, alpha, beta)
         assert all(transitions.values())
 
-    @given(st.one_of(atlases_st(), raw_atlases_st()))
+    @given(atlases_st())
     @example(Atlas({"a": Relation([(Label("z"), Label("0")), (1, 2)]), 3: Relation([("z", 4)])}))
     @settings(max_examples=100)
     def test_transitions_hold_exact_strings(self, atlas):
         # The chart constructors normalize, so the pairs read off them are exact.
-        for rel in _transitions(atlas).values():
+        for rel in reconstruct(atlas).relations.values():
             assert all(type(pair) is tuple and len(pair) == 2 for pair in rel.pairs)
             assert all(type(x) is str for pair in rel.pairs for x in pair)
             assert rel == Relation(rel.pairs)
@@ -434,7 +434,7 @@ class TestAtAxiomsWork:
 
     def test_valid_atlas_builds_no_transition(self, monkeypatch):
         calls = []
-        count_calls(monkeypatch, calls, sincov.atlas, "_transitions", "_rows", "transition")
+        count_calls(monkeypatch, calls, sincov.atlas, "_rows", "transition")
         count_calls(monkeypatch, calls, Relation, "compose")
         report = check_at_axioms(big_atlas(random.Random(41)))
         assert all(section["pass"] for section in report.values())
@@ -442,7 +442,7 @@ class TestAtAxiomsWork:
 
     def test_bad_chart_reads_its_row_and_column_through_transition(self, monkeypatch):
         calls = []
-        count_calls(monkeypatch, calls, sincov.atlas, "_transitions", "_rows", "transition")
+        count_calls(monkeypatch, calls, sincov.atlas, "_rows", "transition")
         report = check_at_axioms(big_atlas(random.Random(43), bad="i07"))
         assert report["at3"]["witnesses"]
         assert calls == ["transition"] * (2 * 24 - 1)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from genutil import oracle_build_system
@@ -17,8 +17,10 @@ from sincov import (
     check_sincov,
     flow_eval,
     solve_atlas,
+    validate_atlas,
     vector_field_residual,
 )
+from sincov.flows import _trajectory_atlas
 
 F = Fraction
 
@@ -30,6 +32,30 @@ small_integers = st.integers(min_value=-6, max_value=6).map(Fraction)
 CONTINUOUS = [FlowSpec.translation(), FlowSpec.blowup()]
 PERMUTATION = FlowSpec.of_permutation({"0": "1", "1": "2", "2": "0", "9": "9"})
 ALL_SPECS = CONTINUOUS + [FlowSpec.doubling(), PERMUTATION]
+
+
+@st.composite
+def flow_inputs(draw):
+    """(spec, grid, seeds) on a small grid; some seeds lie on an earlier
+    seed's trajectory, so that they merge."""
+    spec = draw(st.sampled_from(ALL_SPECS))
+    discrete = spec.kind in (FlowKind.DOUBLING, FlowKind.PERMUTATION)
+    times = small_integers if discrete else small_rationals
+    grid = draw(st.lists(times, min_size=1, max_size=4, unique=True))
+    if spec.kind is FlowKind.PERMUTATION:
+        values = st.sampled_from(sorted(spec.mapping))
+    else:
+        values = small_rationals
+    seeds = []
+    for t in draw(st.lists(st.sampled_from(grid), max_size=4)):
+        if seeds and draw(st.booleans()):
+            earlier = draw(st.sampled_from(seeds))
+            value = flow_eval(spec, t, earlier.time, earlier.value)
+            if value is not None:
+                seeds.append(Seed(t, value))
+                continue
+        seeds.append(Seed(t, draw(values)))
+    return spec, grid, seeds
 
 
 def eval_args_for(spec, draw_time, draw_value, data):
@@ -183,25 +209,14 @@ class TestBuildSystem:
         )
         assert one == two
 
-    @given(
-        spec=st.sampled_from(ALL_SPECS),
-        data=st.data(),
-    )
+    @given(flow_inputs())
+    @example((FlowSpec.translation(), [F(0), F(1), F(3)], [Seed(F(0), F(0)), Seed(F(3), F(3))]))
+    @example((FlowSpec.blowup(), [F(0), F(1, 2), F(1)], [Seed(F(0), F(1)), Seed(F(1, 2), F(2))]))
+    @example((PERMUTATION, [F(0), F(1), F(4)], [Seed(F(0), "0"), Seed(F(1), "1"), Seed(F(4), "1")]))
     @settings(max_examples=80, deadline=None)
-    def test_output_always_lawful(self, spec, data):
-        discrete = spec.kind in (FlowKind.DOUBLING, FlowKind.PERMUTATION)
-        times = small_integers if discrete else small_rationals
-        grid = data.draw(st.lists(times, min_size=1, max_size=4, unique=True))
-        if spec.kind is FlowKind.PERMUTATION:
-            values = st.sampled_from(sorted(spec.mapping))
-        else:
-            values = small_rationals
-        seeds = [
-            Seed(t, data.draw(values))
-            for t in data.draw(
-                st.lists(st.sampled_from(grid), min_size=0, max_size=4)
-            )
-        ]
+    def test_output_always_lawful(self, flow):
+        spec, grid, seeds = flow
+        assert validate_atlas(_trajectory_atlas(spec, grid, seeds)) == []
         system = build_system(spec, grid, seeds)
         assert check_sincov(system) == []
         assert system == oracle_build_system(spec, grid, seeds)
