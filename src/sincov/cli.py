@@ -188,9 +188,10 @@ def _cmd_flow_gen(args):
 
     spec, grid, seeds = jsonio.flow_from_obj(_load(args.file))
     try:
-        return jsonio.GeneratedSystem(_trajectory_atlas(spec, grid, seeds)), 0
+        atlas = _trajectory_atlas(spec, grid, seeds)
     except (KindMismatch, ValueError) as exc:
         raise FormatError(str(exc)) from None
+    return jsonio.GeneratedSystem(atlas), 0
 
 
 def _build_parser():
