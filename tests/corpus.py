@@ -3,13 +3,14 @@
 Every case is one subcommand run in-process through ``cli.main``,
 canonical and ``--pretty``, on a seeded input document read from stdin:
 valid, thinned and mutated systems and atlases, disjoint one-point charts
-and a hub atlas, escaped and look-alike ids, empty charts, all four flow
-kinds (merged seeds and trajectories cut short included) and malformed
-documents, each under every subcommand it admits.  A case's hash covers
-both runs' exit codes and stdout, and their stderr only where sincov
-writes all of that text: the messages of ``json``, ``argparse``, codecs
-and int conversion differ across Python versions, so those cases leave
-stderr out.
+and a hub atlas, dense faulty classes, a class that fails only identity,
+relations that repeat pairs, escaped and look-alike ids, empty charts,
+all four flow kinds (merged seeds and trajectories cut short included)
+and malformed documents, each under every subcommand it admits.  A
+case's hash covers both runs' exit codes and stdout, and their stderr
+only where sincov writes all of that text: the messages of ``json``,
+``argparse``, codecs and int conversion differ across Python versions,
+so those cases leave stderr out.
 
 The inputs are built here from ``random.Random`` seeds and the definition
 Phi[alpha, beta] = chart_alpha o chart_beta^-1, without sincov, so a
@@ -40,6 +41,7 @@ MANIFEST = Path(__file__).resolve().parent / "golden" / "corpus.sha256"
 PARTNER = "<partner>"  # argv slot for the second atlas file of an iso case
 
 SYSTEM_RUNS = (["check", "-"], ["check", "-", "--laws", "identity,symmetry"], ["solve", "-"])
+LAW_RUNS = (["check", "-", "--laws", "transitivity"], ["check", "-", "--laws", "identity"])
 ATLAS_RUNS = (["reconstruct", "-"], ["axioms", "-"], ["iso", "-", "-"])
 FLOW_RUNS = (["flow-gen", "-"],)
 # Ids that json escapes, or that encode to more than one UTF-16 unit.
@@ -162,8 +164,8 @@ def documents():
         runs = [*ATLAS_RUNS, *([["iso", "-", PARTNER]] if partner is not None else [])]
         docs.append((f"atlas/{name}", atlas_doc(charts), True, runs, partner))
 
-    def system(name, system_obj, gammas=()):
-        runs = [*SYSTEM_RUNS, *(["solve", "-", "--gamma", gamma] for gamma in gammas)]
+    def system(name, system_obj, gammas=(), extra=()):
+        runs = [*SYSTEM_RUNS, *extra, *(["solve", "-", "--gamma", gamma] for gamma in gammas)]
         docs.append((f"system/{name}", system_doc(system_obj), True, runs, None))
 
     def raw(name, kind, data, own=True):
@@ -209,6 +211,21 @@ def documents():
     lookalike = {"a": [("z", "a"), ("w", "a!")], "a!": [("z", "a!"), ("v", "a")], "b": []}
     atlas("lookalike", lookalike, atlas_doc(renamed(random.Random(11), lookalike)))
     system("lookalike", generated(lookalike), ["a!"])
+    dense = {"indices": list("abc"), "relations": {}}
+    for alpha in dense["indices"]:  # one faulty class: every Phi the full 4 x 4 relation
+        for beta in dense["indices"]:
+            dense["relations"][f"{alpha}|{beta}"] = [(b, a) for b in "0123" for a in "0123"]
+    system("dense", dense, ["a"], LAW_RUNS)
+    rng = random.Random(12)
+    dropped = {k: [p for p in ps if rng.random() < 0.8] for k, ps in dense["relations"].items()}
+    system("dense-dropped", {**dense, "relations": dropped}, extra=LAW_RUNS)
+    twice = {"a|a": [(b, a) for b in "01" for a in "01"], "a|b": [("0", "0"), ("0", "1")]}
+    twice.update({"b|a": [("0", "0"), ("1", "0")], "b|b": [("0", "0")]})
+    system("identity-only", {"indices": ["a", "b"], "relations": twice}, ["b"], LAW_RUNS)
+    repeated = generated({alpha: wide[alpha] for alpha in sorted(wide)[:3]})
+    repeated["relations"] = {k: pairs + pairs[::2] for k, pairs in repeated["relations"].items()}
+    system("repeated-pairs", repeated, ["i01"], LAW_RUNS)
+    system("repeated-pairs-mutated", mutated(random.Random(13), repeated), extra=LAW_RUNS)
     atlas("empty-and-one-point", {"a": [], "b": [("z", "0")], "c": [("z", "1"), ("w", "2")]})
     atlas("one-empty-chart", {"a": []})
     atlas("no-charts", {})
