@@ -9,22 +9,22 @@ under test are the Sincov-type inequalities
     identity:      Phi[a,a]             is contained in  the identity
 
 A system obeys them iff an atlas of partial bijections generates it.
-``_quotient`` is the one mechanism behind that.  It labels every node
-(index, element) with its class and reads the relations a whole relation
-at a time; a pair whose two ends carry different labels merges their
-classes by relabeling the smaller one.  The classes are the carrier
-points, ``check_sincov`` reads every violation off the faulty ones, and
-``solve_atlas`` and ``solve_via_fixed_index`` (the group case, where all
-containments are equalities) need there to be none; ``reconstruct`` is
-the inverse.
+``_quotient`` is the one mechanism behind that.  It numbers every node
+(index, element) once, reads each relation's pairs once into int edges,
+and labels every node with its class; an edge whose two ends carry
+different labels merges their classes by relabeling the smaller one.
+The classes are the carrier points, ``check_sincov`` reads every
+violation off the faulty ones' successors, and ``solve_atlas`` and
+``solve_via_fixed_index`` (the group case, where all containments are
+equalities) need there to be none; ``reconstruct`` is the inverse.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import Counter, defaultdict, namedtuple
-from itertools import chain, compress, repeat, starmap, tee
-from operator import itemgetter, ne
+from itertools import chain, compress, count, repeat, starmap, tee
+from operator import ne
 
 from .atlas import Atlas, _raise_invalid, _rows, validate_atlas
 from .errors import (
@@ -90,62 +90,59 @@ class SincovSystem:
 
 
 def _quotient(system: SincovSystem):
-    """Labeled classes of the nodes (index, element), and the faulty ones.
+    """The classes of the nodes, the faulty ones, and the faulty nodes' successors.
 
-    A pair (b, a) in Phi[alpha, beta] is the edge (beta, b) -> (alpha, a)
-    inside one class.  ``label[index][element]`` names a node's class by
-    one of its nodes.  The labels at both ends of every pair are read at C
-    speed, each only once every earlier merge is done, so just the pairs
-    that join two classes reach Python; each relabels the smaller class,
-    so N nodes take at most N log N relabels.  A class is faulty iff it has
-    fewer than |C|^2 edges or two nodes at one index; every law holds inside
-    the other classes, so the system is lawful iff none is faulty, and then
-    the classes are the carrier points of a generating atlas.  A lone node
-    is never faulty: its one edge is its self-loop.
+    ``number[index][element]`` numbers node ``nodes[k]`` as k.  Each pair
+    (b, a) in Phi[alpha, beta] is read once, into the int edge (beta, b) ->
+    (alpha, a) of ``sources`` and ``targets``.  ``label[k]`` names node k's
+    class by one of its nodes.  The labels at both ends of every edge are
+    read at C speed, each only once every earlier merge is done, so just
+    the edges that join two classes reach Python; each relabels the smaller
+    class, so N nodes take at most N log N relabels.  A class is faulty iff
+    it has fewer than |C|^2 edges or two nodes at one index; every law
+    holds inside the other classes, so the system is lawful iff none is
+    faulty, and then the classes are the carrier points of a generating
+    atlas.  Only the edges that leave a faulty class reach Python again.
     """
-    label, elements = defaultdict(dict), defaultdict(set)
-    heads, tails = [], []  # per relation: (label lookup, elements) at beta, at alpha
+    number, elements = defaultdict(dict), defaultdict(set)
+    heads, tails = [], []  # per relation: (number lookup, elements) at beta, at alpha
     for (alpha, beta), rel in system.relations.items():
         firsts, seconds = zip(*rel.pairs)
         elements[beta].update(firsts)
         elements[alpha].update(seconds)
-        heads.append((label[beta].__getitem__, firsts))
-        tails.append((label[alpha].__getitem__, seconds))
+        heads.append((number[beta].__getitem__, firsts))
+        tails.append((number[alpha].__getitem__, seconds))
+    nodes = []
     for index, column in elements.items():
-        label[index].update(zip(column, zip(repeat(index), column)))
-
-    def read(ends):  # each label is read when it is pulled, after every earlier merge
-        return chain.from_iterable(starmap(map, ends))
-
-    merged = {}  # class label -> its nodes, for classes of two or more
-    (keeps, keeps_again), (drops, drops_again) = tee(read(heads)), tee(read(tails))
+        number[index].update(zip(column, count(len(nodes))))
+        nodes += zip(repeat(index), column)
+    sources, targets = (list(chain.from_iterable(starmap(map, ends))) for ends in (heads, tails))
+    label = list(range(len(nodes)))
+    merged = {}  # class label -> its node numbers, for classes of two or more
+    keeps, keeps_again = tee(map(label.__getitem__, sources))  # read when pulled
+    drops, drops_again = tee(map(label.__getitem__, targets))
     for keep, drop in compress(zip(keeps, drops), map(ne, keeps_again, drops_again)):
         kept, dropped = merged.pop(keep, [keep]), merged.pop(drop, [drop])
         if len(kept) < len(dropped):
             keep, kept, dropped = drop, dropped, kept
-        for index, element in dropped:
-            label[index][element] = keep
+        for k in dropped:
+            label[k] = keep
         kept += dropped
         merged[keep] = kept
 
-    edges = Counter(read(heads))
-    faulty = [
-        c
-        for top, c in merged.items()
-        if edges[top] < len(c) ** 2 or len(set(map(itemgetter(0), c))) < len(c)
-    ]
-    singles = set(chain.from_iterable(map(dict.values, label.values()))).difference(merged)
-    return [*merged.values(), *zip(singles)], faulty
+    tops = list(map(label.__getitem__, sources))
+    edges = Counter(tops)
+    classes = {top: list(map(nodes.__getitem__, c)) for top, c in merged.items()}
+    faulty = {t: c for t, c in classes.items() if edges[t] < len(c) ** 2 or len(dict(c)) < len(c)}
+    successors = {node: set() for c in faulty.values() for node in c}
+    for u, v in compress(zip(sources, targets), map(faulty.__contains__, tops)):
+        successors[nodes[u]].add(nodes[v])
+    singles = zip(map(nodes.__getitem__, set(label).difference(merged)))
+    return [*classes.values(), *singles], list(faulty.values()), successors
 
 
-def _violations(system: SincovSystem, faulty, laws) -> list:
-    """The reports of ``laws`` read off the edges among the faulty nodes."""
-    successors = {node: set() for c in faulty for node in c}
-    for (alpha, beta), rel in system.relations.items():
-        for b, a in rel.pairs:
-            if (beta, b) in successors:
-                successors[(beta, b)].add((alpha, a))
-
+def _violations(successors, laws) -> list:
+    """The reports of ``laws`` read off ``_quotient``'s faulty successors."""
     reports = set()  # a transitivity report recurs for each middle element
     for u, targets in successors.items():
         for v in targets:
@@ -168,15 +165,18 @@ def check_sincov(system: SincovSystem, laws=None) -> list:
     its reverse, transitivity at a path u -> v -> w without the edge u -> w.
     The list is sorted by the reports' canonical serialization, so it is
     deterministic.  An empty list means the system solves the inequalities.
+    ``laws`` (default all) is an iterable of ``Law`` members or their names;
+    an unknown name, or a bare string, raises ValueError.
     """
-    return _violations(system, _quotient(system)[1], set(ALL_LAWS if laws is None else laws))
+    selected = set(ALL_LAWS if laws is None else map(Law, laws))
+    return _violations(_quotient(system)[2], selected)
 
 
 def _lawful_classes(system: SincovSystem) -> list:
     """The solvers' guard: raises PreconditionViolated with every report."""
-    classes, faulty = _quotient(system)
+    classes, faulty, successors = _quotient(system)
     if faulty:
-        raise PreconditionViolated(_violations(system, faulty, ALL_LAWS))
+        raise PreconditionViolated(_violations(successors, ALL_LAWS))
     return classes
 
 

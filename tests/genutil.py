@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import strategies as st
 
@@ -254,6 +255,21 @@ def mutated_systems_st(draw):
             pair = draw(st.tuples(element, element))
             relations[key] = Relation(relations.get(key, Relation()).pairs | {pair})
     return SincovSystem(system.indices, relations)
+
+
+@st.composite
+def dense_faulty_systems_st(draw):
+    """Every Phi[alpha, beta] the full k x k relation over a small universe,
+    then up to eight pairs dropped or added: one class that meets each index
+    k times, so it fails identity, and after the edits fails transitivity
+    and symmetry in many places at once."""
+    indices = draw(st.lists(st.sampled_from(INDEX_POOL), min_size=2, max_size=5, unique=True))
+    universe = ELEMENT_POOL[: draw(st.integers(min_value=1, max_value=4))]
+    relations = {key: set(product(universe, repeat=2)) for key in product(indices, repeat=2)}
+    keys, elements = st.sampled_from(sorted(relations)), st.sampled_from(ELEMENT_POOL[:5])
+    for key, pair in draw(st.lists(st.tuples(keys, st.tuples(elements, elements)), max_size=8)):
+        relations[key] ^= {pair}
+    return SincovSystem(indices, {key: Relation(pairs) for key, pairs in relations.items()})
 
 
 # ------------------------------------------------------------------ oracles

@@ -1,3 +1,4 @@
+import contextlib
 import random
 from collections import Counter
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from genutil import (
     ELEMENT_POOL,
     INDEX_POOL,
+    dense_faulty_systems_st,
     mutated_systems_st,
     oracle_strict_triple,
     oracle_violations,
@@ -147,6 +149,18 @@ class TestCheckSincov:
         assert check_sincov(system, [Law.TRANSITIVITY]) == []
         assert len(check_sincov(system, [Law.SYMMETRY])) == 1
 
+    @pytest.mark.parametrize("laws", [["identity"], ("identity",), {"identity", Law.IDENTITY}])
+    def test_laws_by_name(self, laws):
+        system = SincovSystem(["a"], {("a", "a"): Relation([("0", "1")])})
+        assert check_sincov(system, laws) == check_sincov(system, [Law.IDENTITY]) != []
+
+    @pytest.mark.parametrize("laws", [["nope"], [Law.SYMMETRY, "Identity"], [None], "identity"])
+    def test_unknown_law_raises(self, laws):
+        # A bare string is an iterable of one-letter names, none a law.
+        system = SincovSystem(["a"], {("a", "a"): Relation([("0", "1")])})
+        with pytest.raises(ValueError):
+            check_sincov(system, laws)
+
     def test_reports_sorted(self):
         system = SincovSystem(
             ["a", "b"],
@@ -225,6 +239,17 @@ def faulty_components(system):
     return {
         c for c in components if edges[c] < len(c) ** 2 or len({i for i, _ in c}) < len(c)
     }
+
+
+def faulty_successors(system):
+    """Each faulty node (beta, b) -> every (alpha, a) with (b, a) in
+    Phi[alpha, beta]."""
+    successors = {node: set() for c in faulty_components(system) for node in c}
+    for (alpha, beta), rel in system.relations.items():
+        for b, a in rel.pairs:
+            if (beta, b) in successors:
+                successors[(beta, b)].add((alpha, a))
+    return successors
 
 
 def atlas_partition(atlas):
@@ -387,6 +412,16 @@ class TestSolveViaFixedIndex:
 laws_st = st.one_of(st.none(), st.sets(st.sampled_from(ALL_LAWS), min_size=1))
 
 
+class CountedPairs(frozenset):
+    """A relation's pairs that count how often each set is iterated."""
+
+    reads = Counter()
+
+    def __iter__(self):
+        CountedPairs.reads[id(self)] += 1
+        return frozenset.__iter__(self)
+
+
 class CountedHash(str):
     """An element that counts how often it is hashed: one count per set or
     dict operation on it or on a node holding it."""
@@ -415,18 +450,19 @@ def cycle_closing_system():
 class TestQuotientAgainstOracle:
     """The quotient certificate must reproduce the definitional loops."""
 
-    @given(st.one_of(valid_systems_st, mutated_systems_st()))
+    @given(st.one_of(valid_systems_st, mutated_systems_st(), dense_faulty_systems_st()))
     @example(cycle_closing_system())
     @settings(max_examples=300)
     def test_classes_are_the_components(self, system):
         # Sorted member lists, so a class holding a node twice shows too.
-        classes, faulty = _quotient(system)
+        classes, faulty, successors = _quotient(system)
         assert sorted(map(sorted, classes)) == sorted(map(sorted, connected_components(system)))
         assert sorted(map(sorted, faulty)) == sorted(map(sorted, faulty_components(system)))
+        assert successors == faulty_successors(system)
 
     def test_relabels_inside_one_relation(self):
         system = cycle_closing_system()
-        classes, faulty = _quotient(system)
+        classes, faulty, _ = _quotient(system)
         nodes = sorted({("a", str(k)) for k in range(5)} | {("b", "0")})
         assert list(map(sorted, classes)) == list(map(sorted, faulty)) == [nodes]
 
@@ -439,11 +475,30 @@ class TestQuotientAgainstOracle:
         star = Relation._of(frozenset((CountedHash(f"x{k}"), hub) for k in range(n)))
         system = SincovSystem(["a", "b"], {("a", "b"): star})
         CountedHash.calls = 0
-        classes, faulty = _quotient(system)
+        classes, faulty, _ = _quotient(system)
         assert len(classes) == len(faulty) == 1 and len(classes[0]) == n + 1
         assert CountedHash.calls < 30 * n
 
-    @given(st.one_of(valid_systems_st, mutated_systems_st()), laws_st)
+    @pytest.mark.parametrize("lawful", [True, False])
+    def test_reads_each_relation_once(self, lawful):
+        system = random_valid_system(random.Random(5), max_points=8)
+        relations = dict(system.relations)
+        if not lawful:  # a fresh element joins a class without its self-loop
+            key = min(relations)
+            relations[key] = Relation(relations[key].pairs | {(min(relations[key].pairs)[0], "x")})
+        counted = SincovSystem(
+            system.indices,
+            {key: Relation._of(CountedPairs(rel.pairs)) for key, rel in relations.items()},
+        )
+        once = Counter({id(rel.pairs): 1 for rel in counted.relations.values()})
+        assert len(once) > 10 and (check_sincov(counted) == []) == lawful
+        for run in (check_sincov, solve_atlas):
+            CountedPairs.reads.clear()
+            with contextlib.suppress(PreconditionViolated):
+                run(counted)
+            assert CountedPairs.reads == once
+
+    @given(st.one_of(valid_systems_st, mutated_systems_st(), dense_faulty_systems_st()), laws_st)
     @settings(max_examples=300)
     def test_check_sincov(self, system, laws):
         assert check_sincov(system, laws) == oracle_violations(system, laws)
