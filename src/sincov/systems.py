@@ -92,17 +92,17 @@ class SincovSystem:
 def _quotient(system: SincovSystem):
     """The classes of the nodes, the faulty ones, and the faulty nodes' successors.
 
-    ``number[index][element]`` numbers node ``nodes[k]`` as k.  Each pair
-    (b, a) in Phi[alpha, beta] is read once, into the int edge (beta, b) ->
-    (alpha, a) of ``sources`` and ``targets``.  ``label[k]`` names node k's
-    class by one of its nodes.  The labels at both ends of every edge are
-    read at C speed, each only once every earlier merge is done, so just
-    the edges that join two classes reach Python; each relabels the smaller
-    class, so N nodes take at most N log N relabels.  A class is faulty iff
-    it has fewer than |C|^2 edges or two nodes at one index; every law
-    holds inside the other classes, so the system is lawful iff none is
-    faulty, and then the classes are the carrier points of a generating
-    atlas.  Only the edges that leave a faulty class reach Python again.
+    ``number[index][element]`` is k for the node ``nodes[k]``, and each
+    pair (b, a) in Phi[alpha, beta] is read once, into the int edge
+    (beta, b) -> (alpha, a) of ``sources`` and ``targets``.  ``label[k]``
+    names node k's class by one of its nodes.  Both ends' labels are read
+    at C speed, each after every earlier merge, so just the edges that join
+    two classes reach Python, and each relabels the smaller class: N nodes
+    take at most N log N relabels.  A class is faulty iff it has fewer than
+    |C|^2 edges or two nodes at one index (a lone node has its self-loop);
+    every law holds inside the other classes, so the system is lawful iff
+    none is faulty, and then the classes are the carrier points of a
+    generating atlas.  Only edges leaving a faulty class reach Python again.
     """
     number, elements = defaultdict(dict), defaultdict(set)
     heads, tails = [], []  # per relation: (number lookup, elements) at beta, at alpha
