@@ -117,7 +117,8 @@ def _rows(atlas: Atlas, head, tail):
     """Every non-empty transition of a valid atlas (every chart a partial
     bijection), as (alpha, beta, items): for each point that chart beta
     sends to b and chart alpha to a, in b's element order, the item
-    head(b) + tail(a).  Tails must be truthy.  Behind
+    head(b) + tail(a).  Tails must be truthy.  The alphas come in the
+    charts' order, each with its betas in sorted order.  Behind
     ``systems.reconstruct`` and ``jsonio._generated_text``.
 
     The carrier points are numbered once, and each chart's heads and tails
@@ -131,21 +132,21 @@ def _rows(atlas: Atlas, head, tail):
     """
     numbers, holders = {}, {}  # by point: its number; by number: the charts holding it
     rows = []  # (alpha, its point numbers, its tails), by element
-    columns = []  # (beta, a picker of its points' buffer slots, its heads), by element
+    columns = {}  # beta -> (a picker of its points' buffer slots, its heads), by element
     for index, chart in atlas.charts.items():
         if chart.pairs:
             points, elements = zip(*sorted(chart.pairs, key=itemgetter(1)))
             at = [numbers.setdefault(z, len(numbers)) for z in points]
             for number in at:
-                holders.setdefault(number, []).append(len(rows))
+                holders.setdefault(number, []).append(index)
             rows.append((index, at, list(map(tail, elements))))
-            columns.append((index, itemgetter(*at, -1), list(map(head, elements))))
+            columns[index] = (itemgetter(*at, -1), list(map(head, elements)))
     buffer = [None] * (len(numbers) + 1)
     for alpha, at, tails in rows:
         for number, item in zip(at, tails):
             buffer[number] = item
-        for k in set().union(*map(holders.__getitem__, at)):
-            beta, pick, heads = columns[k]
+        for beta in sorted(set().union(*map(holders.__getitem__, at))):
+            pick, heads = columns[beta]
             picked = pick(buffer)
             yield alpha, beta, map(add, compress(heads, picked), filter(None, picked))
         for number in at:
@@ -167,7 +168,7 @@ def _match_charts(src: Atlas, dst: Atlas, present_in: int, missing_reason: str) 
     the transition relations differ; the raised witness pair is a member of
     src's transition relation that dst cannot realize.  The forced pairs
     are read at C speed; only when one is missing or two disagree does the
-    loop run, to name the first witness in (chart, pair) order.
+    loop run, to name and raise the first witness in (chart, pair) order.
     """
     forced_pairs = set()
     for alpha, chart in src.charts.items():
@@ -195,7 +196,6 @@ def _match_charts(src: Atlas, dst: Atlas, present_in: int, missing_reason: str) 
                 # (a, prev element) sits in src's transition relation from
                 # prev chart to this one, via the shared carrier point z.
                 raise NotIsomorphic("conflict", (prev[1], alpha), (a, prev[2]), present_in)
-    return {z: forced[0] for z, forced in assignment.items()}
 
 
 def find_isomorphism(a1: Atlas, a2: Atlas) -> Isomorphism:

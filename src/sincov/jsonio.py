@@ -36,9 +36,9 @@ KEY_SEPARATOR = "|"
 
 class GeneratedSystem:
     """The system a valid atlas generates, as a payload: ``canonical_dumps``
-    writes it straight from the charts, in the bytes it gives
-    ``system_to_obj(reconstruct(atlas))``, and ``pretty_dumps`` re-reads
-    that text and indents it."""
+    writes it straight from the charts, with the bytes and the FormatError
+    of ``system_to_obj(reconstruct(atlas))``, and ``pretty_dumps`` indents
+    that text, as it does every payload's."""
 
     __slots__ = ("atlas",)
 
@@ -54,9 +54,8 @@ def canonical_dumps(payload) -> str:
 
 
 def pretty_dumps(payload) -> str:
-    if type(payload) is GeneratedSystem:
-        payload = json.loads(_generated_text(payload.atlas))
-    return json.dumps(payload, sort_keys=True, indent=2, check_circular=False)
+    """``canonical_dumps``' text, indented: that writer decides every byte."""
+    return json.dumps(json.loads(canonical_dumps(payload)), indent=2)
 
 
 def _require(condition, message):
@@ -108,10 +107,8 @@ def _check_index_id(index):
 
 
 def system_to_obj(system: SincovSystem) -> dict:
-    for index in system.indices:
-        _check_index_id(index)
     return {
-        "indices": sorted(system.indices),
+        "indices": sorted(map(_check_index_id, system.indices)),
         "relations": {
             f"{alpha}{KEY_SEPARATOR}{beta}": relation_to_obj(rel)
             for (alpha, beta), rel in system.relations.items()
@@ -125,9 +122,7 @@ def system_from_obj(obj) -> SincovSystem:
     _require(isinstance(obj, dict), "system must be an object")
     _require(set(obj) <= {"indices", "relations"}, "unknown keys in system object")
     _require("indices" in obj, "system object needs an 'indices' array")
-    indices = set(_string_items(obj["indices"], "indices"))
-    for index in indices:
-        _check_index_id(index)
+    indices = set(map(_check_index_id, _string_items(obj["indices"], "indices")))
 
     relations = {}
     raw = obj.get("relations", {})
@@ -150,14 +145,17 @@ def _generated_text(atlas: Atlas) -> str:
     ``atlas._rows`` reads each transition's pairs off the charts, each as
     its encoded "[b," head and "a]" tail, with json's own escaping; every
     chart is a partial bijection, so b's element order is the pairs' sorted
-    order.  The keys sort as ``"alpha|beta"`` strings, not as (alpha, beta)
-    tuples, as the encoder sorts them.
+    order.  The encoder sorts the keys as ``"alpha|beta"`` strings, and no
+    id holds "|", so ``_rows`` is handed the charts by ``alpha + "|"`` and
+    yields the rows in key order, each joined as it comes.
     """
     encode = encode_basestring_ascii
-    pairs = _rows(atlas, lambda b: f"[{encode(b)},", lambda a: f"{encode(a)}]")
-    rows = sorted((f"{alpha}{KEY_SEPARATOR}{beta}", ",".join(row)) for alpha, beta, row in pairs)
-    relations = ",".join(f"{encode(key)}:[{row}]" for key, row in rows)
-    indices = ",".join(map(encode, sorted(atlas.charts)))
+    _check_index_id("".join(atlas.charts))  # an id holds the separator iff their join does
+    alphas = sorted(atlas.charts, key=lambda alpha: alpha + KEY_SEPARATOR)
+    charts = Atlas({alpha: atlas.charts[alpha] for alpha in alphas})
+    rows = _rows(charts, lambda b: f"[{encode(b)},", lambda a: f"{encode(a)}]")
+    relations = ",".join(f"{encode(a + KEY_SEPARATOR + b)}:[{','.join(r)}]" for a, b, r in rows)
+    indices = ",".join(map(encode, sorted(alphas)))
     return f'{{"indices":[{indices}],"relations":{{{relations}}}}}'
 
 

@@ -102,7 +102,7 @@ def _quotient(system: SincovSystem):
     |C|^2 edges or two nodes at one index (a lone node has its self-loop);
     every law holds inside the other classes, so the system is lawful iff
     none is faulty, and then the classes are the carrier points of a
-    generating atlas.  Only edges leaving a faulty class reach Python again.
+    generating atlas.  Edges leaving faulty classes, if any, reach Python again.
     """
     number, elements = defaultdict(dict), defaultdict(set)
     heads, tails = [], []  # per relation: (number lookup, elements) at beta, at alpha
@@ -135,26 +135,26 @@ def _quotient(system: SincovSystem):
     classes = {top: list(map(nodes.__getitem__, c)) for top, c in merged.items()}
     faulty = {t: c for t, c in classes.items() if edges[t] < len(c) ** 2 or len(dict(c)) < len(c)}
     successors = {node: set() for c in faulty.values() for node in c}
-    for u, v in compress(zip(sources, targets), map(faulty.__contains__, tops)):
-        successors[nodes[u]].add(nodes[v])
+    if faulty:
+        for u, v in compress(zip(sources, targets), map(faulty.__contains__, tops)):
+            successors[nodes[u]].add(nodes[v])
     singles = zip(map(nodes.__getitem__, set(label).difference(merged)))
     return [*classes.values(), *singles], list(faulty.values()), successors
 
 
 def _violations(successors, laws) -> list:
     """The reports of ``laws`` read off ``_quotient``'s faulty successors."""
+    transitivity, symmetry, identity = (law in laws for law in ALL_LAWS)
     reports = set()  # a transitivity report recurs for each middle element
     for u, targets in successors.items():
         for v in targets:
-            if u[0] == v[0] and u != v:
+            if identity and u[0] == v[0] and u != v:
                 reports.add(ViolationReport(Law.IDENTITY, (u[0],), (u[1], v[1])))
-            if u not in successors[v]:
+            if symmetry and u not in successors[v]:
                 reports.add(ViolationReport(Law.SYMMETRY, (v[0], u[0]), (v[1], u[1])))
-            reports.update(
-                ViolationReport(Law.TRANSITIVITY, (w[0], v[0], u[0]), (u[1], w[1]))
-                for w in successors[v] - targets
-            )
-    return sorted((r for r in reports if r.law in laws), key=ViolationReport.sort_key)
+            for w in successors[v] - targets if transitivity else ():
+                reports.add(ViolationReport(Law.TRANSITIVITY, (w[0], v[0], u[0]), (u[1], w[1])))
+    return sorted(reports, key=ViolationReport.sort_key)
 
 
 def check_sincov(system: SincovSystem, laws=None) -> list:

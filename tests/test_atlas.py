@@ -150,6 +150,19 @@ class TestTransition:
     @example(Atlas({f"i{k}": Relation([(f"z{k}", str(k % 3))]) for k in range(12)}))
     @example(Atlas({k: Relation([("hub", k), (f"own{k}", "0"), (k, "1")]) for k in "abcde"}))
     @example(Atlas({"a": Relation([("z", "0"), ("w", "1")]), "b": Relation([("v", "0")])}))
+    # Ids that are prefixes of one another: by plain name "t" < "t!" < "t/1"
+    # < "t0", but the keys sort "t!|" < "t/1|" < "t0|" < "t|".
+    @example(Atlas({k: Relation([("z", "0")]) for k in ("t", "t!", "t0", "t/1")}))
+    @example(
+        Atlas(
+            {
+                "t": Relation([("z", "0"), ("w", "1")]),
+                "t!": Relation([("w", "2")]),
+                "t0": Relation([("z", "3")]),
+                "t/1": Relation([("z", "4"), ("w", "5")]),
+            }
+        )
+    )
     @settings(max_examples=100)
     def test_emitted_rows_are_the_sorted_transitions(self, atlas):
         indices = atlas.indices
@@ -158,25 +171,32 @@ class TestTransition:
             written = json.loads(dumps(jsonio.GeneratedSystem(atlas)))
             assert written["indices"] == sorted(indices)
             rows = written["relations"]
+            assert list(rows) == sorted(rows)  # the keys are written in the encoder's order
             assert set(rows) == {key for key, found in pairs.items() if found}
             for key, row in rows.items():
                 assert row == sorted(map(list, pairs[key]))  # so sorted and repeat-free
 
-    @pytest.mark.parametrize("charts, mib", [(3000, 8), (30000, 40)])
-    def test_emission_memory_follows_the_rows(self, charts, mib):
+    @pytest.mark.parametrize(
+        "charts, point, rows, mib, per_text",
+        [(3000, "z{}", 3000, 8, 0), (30000, "z{}", 30000, 40, 0), (300, "z", 90000, 0, 6)],
+        ids=["3000-8", "30000-40", "300-shared"],
+    )
+    def test_emission_memory_follows_the_rows(self, charts, point, rows, mib, per_text):
         # Disjoint one-point charts each meet only themselves: one row per
         # chart, written without a slot per chart and carrier point.  An
         # index as wide as the chart count per point (int masks: charts^2/16
-        # bytes, 56 MB at 30 000) fails the larger case.
-        atlas = Atlas({f"i{k}": Relation([(f"z{k}", f"e{k}")]) for k in range(charts)})
+        # bytes, 56 MB at 30 000) fails the larger case.  Charts that share
+        # their one point make charts^2 rows, which are joined as they come:
+        # keeping every row and its key for one sort peaks above 10x the text.
+        atlas = Atlas({f"i{k}": Relation([(point.format(k), f"e{k}")]) for k in range(charts)})
         tracemalloc.start()
         try:
             text = jsonio.canonical_dumps(jsonio.GeneratedSystem(atlas))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert text.count("|") == charts
-        assert peak < mib * 2**20
+        assert text.count("|") == rows
+        assert peak < mib * 2**20 + per_text * len(text)
 
 
 class TestCarrier:

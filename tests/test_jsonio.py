@@ -11,14 +11,16 @@ from genutil import (
     relation_objs_st,
     valid_systems_st,
 )
-from sincov import Atlas, FlowKind, FormatError, Isomorphism, Relation, SincovSystem
+from sincov import Atlas, FlowKind, FormatError, Isomorphism, Relation, SincovSystem, reconstruct
 from sincov.jsonio import (
+    GeneratedSystem,
     atlas_from_obj,
     atlas_to_obj,
     canonical_dumps,
     flow_from_obj,
     isomorphism_from_obj,
     isomorphism_to_obj,
+    pretty_dumps,
     relation_from_obj,
     relation_to_obj,
     system_from_obj,
@@ -262,3 +264,22 @@ class TestCanonical:
         one = system_to_obj(SincovSystem(["b", "a"], {("a", "b"): Relation([("1", "0")])}))
         two = system_to_obj(SincovSystem(["a", "b"], {("a", "b"): Relation([("1", "0")])}))
         assert canonical_dumps(one) == canonical_dumps(two)
+
+    @pytest.mark.parametrize(
+        "charts",
+        [
+            {"a|b": Relation([("z", "0")]), "c": Relation([("z", "1")])},  # key "a|b|c"
+            {"a|b": Relation()},  # no row at all
+        ],
+    )
+    def test_generated_system_refuses_separator_ids(self, charts):
+        # The writer checks the ids before it reads a row, as the library
+        # path does when it writes the reconstructed system.
+        atlas = Atlas(charts)
+        for write in (
+            lambda: canonical_dumps(GeneratedSystem(atlas)),
+            lambda: pretty_dumps(GeneratedSystem(atlas)),
+            lambda: system_to_obj(reconstruct(atlas)),
+        ):
+            with pytest.raises(FormatError, match=r"must not contain '\|'"):
+                write()

@@ -1,6 +1,7 @@
 import contextlib
 import random
 from collections import Counter
+from itertools import compress
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +35,7 @@ from sincov import (
     solve_via_fixed_index,
     validate_atlas,
 )
+import sincov.systems
 from sincov.systems import _quotient
 
 
@@ -497,6 +499,53 @@ class TestQuotientAgainstOracle:
             with contextlib.suppress(PreconditionViolated):
                 run(counted)
             assert CountedPairs.reads == once
+
+    def test_selected_laws_build_only_their_reports(self, monkeypatch):
+        # Phi[a, a] breaks identity, and the chain a -> b -> c has no
+        # Phi[a, c]: asked for identity alone, no other report is built.
+        system = SincovSystem(
+            ["a", "b", "c"],
+            {
+                ("a", "a"): Relation([("0", "0"), ("0", "9"), ("9", "0"), ("9", "9")]),
+                ("a", "b"): Relation([("1", "0")]),
+                ("b", "a"): Relation([("0", "1")]),
+                ("b", "c"): Relation([("2", "1")]),
+                ("c", "b"): Relation([("1", "2")]),
+                ("b", "b"): Relation([("1", "1")]),
+                ("c", "c"): Relation([("2", "2")]),
+            },
+        )
+        reports = check_sincov(system)
+        assert {r.law for r in reports} == {Law.IDENTITY, Law.TRANSITIVITY}
+        built = Counter()
+
+        class CountedReport(ViolationReport):
+            __slots__ = ()
+
+            def __new__(cls, law, indices, pair):
+                built[law] += 1
+                return super().__new__(cls, law, indices, pair)
+
+        monkeypatch.setattr(sincov.systems, "ViolationReport", CountedReport)
+        identity = [r for r in reports if r.law is Law.IDENTITY]
+        assert check_sincov(system, [Law.IDENTITY]) == identity
+        assert set(built) == {Law.IDENTITY}
+
+    @pytest.mark.parametrize("lawful", [True, False])
+    def test_successors_are_read_only_when_faulty(self, monkeypatch, lawful):
+        # The merge loop is one compress over the edges; the faulty
+        # successors' pass is a second, which a lawful system skips.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return compress(*args)
+
+        monkeypatch.setattr(sincov.systems, "compress", counted)
+        unlawful = SincovSystem(["a"], {("a", "a"): Relation([("0", "1")])})
+        system = pair_system() if lawful else unlawful
+        assert (check_sincov(system) == []) == lawful
+        assert len(calls) == (1 if lawful else 2)
 
     @given(st.one_of(valid_systems_st, mutated_systems_st(), dense_faulty_systems_st()), laws_st)
     @settings(max_examples=300)
