@@ -97,35 +97,36 @@ def _require_integer_times(*times):
             raise KindMismatch(f"discrete flow needs integer times, got {t}")
 
 
+def _trajectory(spec: FlowSpec, times, alpha, a) -> list:
+    """F(tau, alpha, a) at every tau of ``times`` (None where undefined),
+    converting and checking each input once, in the order tau, alpha, a, and
+    walking a permutation orbit once."""
+    times, alpha = [Fraction(tau) for tau in times], Fraction(alpha)
+    if spec.kind in DISCRETE_KINDS:
+        _require_integer_times(*times, alpha)
+
+    if spec.kind is FlowKind.PERMUTATION:
+        mapping = spec.mapping
+        a = str(a)
+        if a not in mapping:
+            return [None] * len(times)
+        orbit, current = [a], mapping[a]
+        while current != a:
+            orbit.append(current)
+            current = mapping[current]
+        return [orbit[int(tau - alpha) % len(orbit)] for tau in times]
+
+    a = Fraction(a)
+    if spec.kind is FlowKind.TRANSLATION:
+        return [a + (tau - alpha) for tau in times]
+    if spec.kind is FlowKind.BLOWUP:
+        return [a / d if (d := 1 - a * (tau - alpha)) > 0 else None for tau in times]
+    return [a * Fraction(2) ** int(tau - alpha) for tau in times]
+
+
 def flow_eval(spec: FlowSpec, tau, alpha, a):
     """F(tau, alpha, a), or None when outside the flow's domain."""
-    tau, alpha = Fraction(tau), Fraction(alpha)
-    if spec.kind in DISCRETE_KINDS:
-        _require_integer_times(tau, alpha)
-
-    if spec.kind is FlowKind.TRANSLATION:
-        return Fraction(a) + (tau - alpha)
-
-    if spec.kind is FlowKind.BLOWUP:
-        a = Fraction(a)
-        denom = 1 - a * (tau - alpha)
-        if denom <= 0:
-            return None
-        return a / denom
-
-    if spec.kind is FlowKind.DOUBLING:
-        return Fraction(a) * Fraction(2) ** int(tau - alpha)
-
-    mapping = spec.mapping
-    a = str(a)
-    if a not in mapping:
-        return None
-    orbit = [a]
-    current = mapping[a]
-    while current != a:
-        orbit.append(current)
-        current = mapping[current]
-    return orbit[int(tau - alpha) % len(orbit)]
+    return _trajectory(spec, (tau,), alpha, a)[0]
 
 
 def _trajectory_atlas(spec: FlowSpec, time_grid, seeds) -> Atlas:
@@ -151,9 +152,7 @@ def _trajectory_atlas(spec: FlowSpec, time_grid, seeds) -> Atlas:
     # Values by grid position, None where undefined.  The charts stringify
     # each value once; str is injective on reduced fractions, so nothing
     # merges that Fraction equality keeps apart.
-    trajectories = dict.fromkeys(
-        tuple(flow_eval(spec, t, seed.time, seed.value) for t in grid) for seed in seeds
-    )
+    trajectories = dict.fromkeys(tuple(_trajectory(spec, grid, *seed)) for seed in seeds)
     return Atlas(
         {
             t: Relation((z, traj[i]) for z, traj in enumerate(trajectories) if traj[i] is not None)

@@ -12,7 +12,8 @@ Formats:
   input are accepted and collapse).
 * system:     ``{"indices": [...], "relations": {"<alpha>|<beta>":
   [[b, a], ...]}}``; missing keys are empty relations; index ids must not
-  contain ``"|"``.
+  contain ``"|"``.  Each reader and writer checks its ids as one list:
+  all strings, then no ``"|"`` in their join.
 * atlas:      ``{"charts": {"<alpha>": [[class, element], ...]}}`` with
   empty charts kept.
 * isomorphism: ``{"omega": [[z, zbar], ...]}``.
@@ -23,7 +24,7 @@ Formats:
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 from .atlas import Atlas, Isomorphism, chart_violation_to_obj  # re-exported with the other formats
@@ -58,16 +59,23 @@ def pretty_dumps(payload) -> str:
     return json.dumps(json.loads(canonical_dumps(payload)), indent=2)
 
 
-def _require(condition, message):
+def _require(condition, message, *args):
+    """Raise FormatError unless ``condition``; only then is ``message`` formatted."""
     if not condition:
-        raise FormatError(message)
+        raise FormatError(message.format(*args))
 
 
 def _string_items(values, what):
-    _require(isinstance(values, list), f"{what} must be an array")
-    for value in values:
-        _require(isinstance(value, str), f"{what} entries must be strings")
+    _require(isinstance(values, list), "{} must be an array", what)
+    _require(all(map(isinstance, values, repeat(str))), "{} entries must be strings", what)
     return values
+
+
+def _check_index_ids(ids):
+    _require(all(map(isinstance, ids, repeat(str))), "index ids must be strings")
+    # The separator is one character, so an id holds it iff their join does.
+    _require(KEY_SEPARATOR not in "".join(ids), "index ids must not contain {!r}", KEY_SEPARATOR)
+    return ids
 
 
 # ---------------------------------------------------------------- relations
@@ -100,15 +108,9 @@ def relation_from_obj(obj) -> Relation:
 # ------------------------------------------------------------------ systems
 
 
-def _check_index_id(index):
-    _require(isinstance(index, str), "index ids must be strings")
-    _require(KEY_SEPARATOR not in index, f"index ids must not contain {KEY_SEPARATOR!r}")
-    return index
-
-
 def system_to_obj(system: SincovSystem) -> dict:
     return {
-        "indices": sorted(map(_check_index_id, system.indices)),
+        "indices": sorted(_check_index_ids(system.indices)),
         "relations": {
             f"{alpha}{KEY_SEPARATOR}{beta}": relation_to_obj(rel)
             for (alpha, beta), rel in system.relations.items()
@@ -122,7 +124,7 @@ def system_from_obj(obj) -> SincovSystem:
     _require(isinstance(obj, dict), "system must be an object")
     _require(set(obj) <= {"indices", "relations"}, "unknown keys in system object")
     _require("indices" in obj, "system object needs an 'indices' array")
-    indices = set(map(_check_index_id, _string_items(obj["indices"], "indices")))
+    indices = set(_check_index_ids(_string_items(obj["indices"], "indices")))
 
     relations = {}
     raw = obj.get("relations", {})
@@ -130,10 +132,10 @@ def system_from_obj(obj) -> SincovSystem:
     for key, value in raw.items():
         _require(isinstance(key, str), "relation keys must be strings")
         parts = key.split(KEY_SEPARATOR)
-        _require(len(parts) == 2, f"relation key {key!r} must be '<alpha>{KEY_SEPARATOR}<beta>'")
+        _require(len(parts) == 2, "relation key {!r} must be '<alpha>{}<beta>'", key, KEY_SEPARATOR)
         alpha, beta = parts
-        _require(alpha in indices, f"relation key uses unknown index {alpha!r}")
-        _require(beta in indices, f"relation key uses unknown index {beta!r}")
+        _require(alpha in indices, "relation key uses unknown index {!r}", alpha)
+        _require(beta in indices, "relation key uses unknown index {!r}", beta)
         relations[(alpha, beta)] = relation_from_obj(value)
     return SincovSystem(indices, relations)
 
@@ -150,7 +152,7 @@ def _generated_text(atlas: Atlas) -> str:
     yields the rows in key order, each joined as it comes.
     """
     encode = encode_basestring_ascii
-    _check_index_id("".join(atlas.charts))  # an id holds the separator iff their join does
+    _check_index_ids(atlas.charts)
     alphas = sorted(atlas.charts, key=lambda alpha: alpha + KEY_SEPARATOR)
     charts = Atlas({alpha: atlas.charts[alpha] for alpha in alphas})
     rows = _rows(charts, lambda b: f"[{encode(b)},", lambda a: f"{encode(a)}]")
@@ -171,8 +173,7 @@ def violation_to_obj(report) -> dict:
 
 
 def atlas_to_obj(atlas: Atlas) -> dict:
-    for index in atlas.charts:
-        _check_index_id(index)
+    _check_index_ids(atlas.charts)
     return {"charts": {index: relation_to_obj(rel) for index, rel in atlas.charts.items()}}
 
 
@@ -183,7 +184,7 @@ def atlas_from_obj(obj) -> Atlas:
     _require(isinstance(charts, dict), "'charts' must be an object")
     parsed = {}
     for index, value in charts.items():
-        _check_index_id(index)
+        _check_index_ids((index,))
         parsed[index] = relation_from_obj(value)
     return Atlas(parsed)
 
@@ -204,7 +205,7 @@ def isomorphism_from_obj(obj) -> Isomorphism:
 def _rational(text, what) -> Fraction:
     from fractions import Fraction
 
-    _require(isinstance(text, str), f"{what} must be a rational string like '1/2'")
+    _require(isinstance(text, str), "{} must be a rational string like '1/2'", what)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -223,16 +224,13 @@ def flow_from_obj(obj):
     kinds = {kind.value: kind for kind in FlowKind}
     kind_name = obj.get("kind")
     kind = kinds.get(kind_name) if isinstance(kind_name, str) else None
-    _require(kind is not None, f"kind must be one of {sorted(kinds)}")
+    _require(kind is not None, "kind must be one of {}", sorted(kinds))
 
     if kind is FlowKind.PERMUTATION:
         table = obj.get("permutation")
         _require(isinstance(table, dict) and table, "permutation kind needs a 'permutation' table")
-        for key, value in table.items():
-            _require(
-                isinstance(key, str) and isinstance(value, str),
-                "permutation table entries must be strings",
-            )
+        strings = all(map(isinstance, chain(table, table.values()), repeat(str)))
+        _require(strings, "permutation table entries must be strings")
         try:
             spec = FlowSpec.of_permutation(table)
         except ValueError as exc:

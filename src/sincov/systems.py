@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter, defaultdict, namedtuple
-from itertools import chain, compress, count, repeat, starmap, tee
+from itertools import chain, compress, count, repeat, starmap
 from operator import ne
 
 from .atlas import Atlas, _raise_invalid, _rows, validate_atlas
@@ -119,9 +119,9 @@ def _quotient(system: SincovSystem):
     sources, targets = (list(chain.from_iterable(starmap(map, ends))) for ends in (heads, tails))
     label = list(range(len(nodes)))
     merged = {}  # class label -> its node numbers, for classes of two or more
-    keeps, keeps_again = tee(map(label.__getitem__, sources))  # read when pulled
-    drops, drops_again = tee(map(label.__getitem__, targets))
-    for keep, drop in compress(zip(keeps, drops), map(ne, keeps_again, drops_again)):
+    joins = map(ne, map(label.__getitem__, sources), map(label.__getitem__, targets))
+    for u, v in compress(zip(sources, targets), joins):  # labels read when pulled
+        keep, drop = label[u], label[v]
         kept, dropped = merged.pop(keep, [keep]), merged.pop(drop, [drop])
         if len(kept) < len(dropped):
             keep, kept, dropped = drop, dropped, kept

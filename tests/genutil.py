@@ -27,9 +27,9 @@ from sincov import (
     NotIsomorphic,
     Relation,
     SincovSystem,
+    FlowKind,
     ViolationReport,
     carrier,
-    flow_eval,
     reconstruct,
     transition,
     validate_atlas,
@@ -406,12 +406,37 @@ def oracle_at_axioms(atlas: Atlas) -> dict:
     }
 
 
+def oracle_flow(spec, tau, alpha, a):
+    """F(tau, alpha, a) by definition, None outside the domain: the closed
+    forms for the continuous kinds and doubling, and for permutation the
+    table g applied tau - alpha times (its inverse when that is negative).
+    Shares no code with ``flows``, whose evaluator it checks."""
+    steps = Fraction(tau) - Fraction(alpha)
+    if spec.kind is FlowKind.TRANSLATION:
+        return Fraction(a) + steps
+    if spec.kind is FlowKind.BLOWUP:
+        a = Fraction(a)
+        return a / (1 - a * steps) if 1 - a * steps > 0 else None
+    assert steps.denominator == 1
+    if spec.kind is FlowKind.DOUBLING:
+        return Fraction(a) * 2**steps if steps >= 0 else Fraction(a) / 2**-steps
+    g = dict(spec.permutation)
+    if steps < 0:
+        g = {image: x for x, image in g.items()}
+    a = str(a)
+    if a not in g:
+        return None
+    for _ in range(abs(int(steps))):
+        a = g[a]
+    return a
+
+
 def oracle_build_system(spec, time_grid, seeds) -> SincovSystem:
     """``build_system`` on valid input by the definitional comprehension:
     for every trajectory and every ordered grid pair (t_out, t_in) at which
     it is defined, Phi[t_out, t_in] gains (value at t_in, value at t_out)."""
     grid = sorted({Fraction(t) for t in time_grid})
-    trajectories = [[flow_eval(spec, t, seed.time, seed.value) for t in grid] for seed in seeds]
+    trajectories = [[oracle_flow(spec, t, seed.time, seed.value) for t in grid] for seed in seeds]
     return SincovSystem(
         grid,
         {

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from genutil import oracle_build_system
+from genutil import oracle_build_system, oracle_flow
 from sincov import (
+    Atlas,
     DomainExceeded,
     FlowKind,
     FlowSpec,
@@ -32,13 +33,34 @@ small_integers = st.integers(min_value=-6, max_value=6).map(Fraction)
 CONTINUOUS = [FlowSpec.translation(), FlowSpec.blowup()]
 PERMUTATION = FlowSpec.of_permutation({"0": "1", "1": "2", "2": "0", "9": "9"})
 ALL_SPECS = CONTINUOUS + [FlowSpec.doubling(), PERMUTATION]
+# Three cycles, one of them of length 1, and a second fixed point.
+CYCLES = FlowSpec.of_permutation(
+    {"0": "1", "1": "2", "2": "0", "3": "4", "4": "3", "5": "5", "6": "6"}
+)
+CYCLES_FLOW = (
+    CYCLES,
+    [F(-3), F(0), F(2), F(5)],
+    [Seed(F(0), "0"), Seed(F(2), "3"), Seed(F(5), "6"), Seed(F(0), "2")],
+)
+
+
+@st.composite
+def permutation_specs(draw):
+    """A random bijection of up to 8 labels: mostly several cycles, often
+    with fixed points."""
+    label = st.text("abc", min_size=1, max_size=2)
+    labels = draw(st.lists(label, min_size=1, max_size=8, unique=True))
+    return FlowSpec.of_permutation(dict(zip(labels, draw(st.permutations(labels)))))
+
+
+specs = st.one_of(st.sampled_from([*ALL_SPECS, CYCLES]), permutation_specs())
 
 
 @st.composite
 def flow_inputs(draw):
     """(spec, grid, seeds) on a small grid; some seeds lie on an earlier
     seed's trajectory, so that they merge."""
-    spec = draw(st.sampled_from(ALL_SPECS))
+    spec = draw(specs)
     discrete = spec.kind in (FlowKind.DOUBLING, FlowKind.PERMUTATION)
     times = small_integers if discrete else small_rationals
     grid = draw(st.lists(times, min_size=1, max_size=4, unique=True))
@@ -50,7 +72,7 @@ def flow_inputs(draw):
     for t in draw(st.lists(st.sampled_from(grid), max_size=4)):
         if seeds and draw(st.booleans()):
             earlier = draw(st.sampled_from(seeds))
-            value = flow_eval(spec, t, earlier.time, earlier.value)
+            value = oracle_flow(spec, t, earlier.time, earlier.value)
             if value is not None:
                 seeds.append(Seed(t, value))
                 continue
@@ -100,6 +122,41 @@ class TestFlowEval:
 
     def test_permutation_outside_carrier(self):
         assert flow_eval(PERMUTATION, 1, 0, "7") is None
+
+    def test_permutation_cycles_and_fixed_points(self):
+        assert [flow_eval(CYCLES, t, 0, "0") for t in range(-2, 4)] == list("120120")
+        assert [flow_eval(CYCLES, t, 0, "4") for t in range(-1, 2)] == ["3", "4", "3"]
+        assert flow_eval(CYCLES, -5, 0, "5") == "5"
+
+    @pytest.mark.parametrize(
+        "args, error, bad",
+        [
+            # KindMismatch names the first non-integer of (tau, alpha), and
+            # comes before a is read; Fraction fails in the order tau, alpha, a.
+            ((FlowSpec.doubling(), F(1, 2), F(1, 3), 1), KindMismatch, "1/2"),
+            ((PERMUTATION, 1, F(1, 3), "0"), KindMismatch, "1/3"),
+            ((FlowSpec.doubling(), 1, F(1, 3), "zap"), KindMismatch, "1/3"),
+            ((FlowSpec.doubling(), "x", F(1, 2), 1), ValueError, "x"),
+            ((FlowSpec.translation(), "x", "y", "z"), ValueError, "x"),
+            ((FlowSpec.translation(), "1", "y", "z"), ValueError, "y"),
+            ((FlowSpec.blowup(), "1", "0", "z"), ValueError, "z"),
+            ((FlowSpec.doubling(), 1, 0, "z"), ValueError, "z"),
+        ],
+    )
+    def test_errors_and_their_order(self, args, error, bad):
+        with pytest.raises(error) as excinfo:
+            flow_eval(*args)
+        assert str(excinfo.value) == (
+            f"discrete flow needs integer times, got {bad}"
+            if error is KindMismatch
+            else f"Invalid literal for Fraction: {bad!r}"
+        )
+
+    @given(data=st.data(), spec=specs)
+    @settings(max_examples=150)
+    def test_matches_the_oracle(self, data, spec):
+        tau, alpha, a = eval_args_for(spec, None, None, data)
+        assert flow_eval(spec, tau, alpha, a) == oracle_flow(spec, tau, alpha, a)
 
     def test_permutation_table_must_be_bijection(self):
         with pytest.raises(ValueError):
@@ -213,6 +270,7 @@ class TestBuildSystem:
     @example((FlowSpec.translation(), [F(0), F(1), F(3)], [Seed(F(0), F(0)), Seed(F(3), F(3))]))
     @example((FlowSpec.blowup(), [F(0), F(1, 2), F(1)], [Seed(F(0), F(1)), Seed(F(1, 2), F(2))]))
     @example((PERMUTATION, [F(0), F(1), F(4)], [Seed(F(0), "0"), Seed(F(1), "1"), Seed(F(4), "1")]))
+    @example(CYCLES_FLOW)
     @settings(max_examples=80, deadline=None)
     def test_output_always_lawful(self, flow):
         spec, grid, seeds = flow
@@ -220,6 +278,33 @@ class TestBuildSystem:
         system = build_system(spec, grid, seeds)
         assert check_sincov(system) == []
         assert system == oracle_build_system(spec, grid, seeds)
+
+    @given(flow_inputs())
+    @example(CYCLES_FLOW)
+    @settings(max_examples=150, deadline=None)
+    def test_trajectory_atlas_matches_the_oracle(self, flow):
+        # A carrier point per distinct trajectory, numbered in seed order.
+        spec, grid, seeds = flow
+        grid = sorted(set(grid))
+        trajectories = dict.fromkeys(
+            tuple(oracle_flow(spec, t, *seed) for t in grid) for seed in seeds
+        )
+        charts = {
+            t: Relation((z, traj[i]) for z, traj in enumerate(trajectories) if traj[i] is not None)
+            for i, t in enumerate(grid)
+        }
+        assert _trajectory_atlas(spec, grid, seeds) == Atlas(charts)
+
+    def test_trajectory_atlas_reads_the_table_at_most_twice_per_seed(self, monkeypatch):
+        reads = []
+        mapping = FlowSpec.mapping.fget
+        counted = property(lambda spec: reads.append(spec) or mapping(spec))
+        monkeypatch.setattr(FlowSpec, "mapping", counted)
+        spec = FlowSpec.of_permutation({str(i): str((i + 1) % 50) for i in range(50)})
+        seeds = [Seed(F(0), "0"), Seed(F(3), "7"), Seed(F(19), "49")]
+        atlas = _trajectory_atlas(spec, range(20), seeds)
+        assert len(reads) <= 2 * len(seeds)
+        assert atlas.chart(F(19)) == Relation([(0, "19"), (1, "23"), (2, "49")])
 
 
 class TestVectorFieldResidual:

@@ -27,6 +27,16 @@ from sincov.jsonio import (
     system_to_obj,
 )
 
+SEPARATOR = "index ids must not contain '|'"
+RELATION = "relation must be an array of pairs"
+
+
+def malformed_cases(*cases):
+    """Parametrize ``test_malformed`` over (document, message) cases, named
+    bad0, bad1, ... in order."""
+    ids = [f"bad{i}" for i in range(len(cases))]
+    return pytest.mark.parametrize("bad, message", cases, ids=ids)
+
 
 class TestRelationFormat:
     def test_round_trip(self):
@@ -135,25 +145,43 @@ class TestSystemFormat:
         system = SincovSystem(["a"], {("a", "a"): Relation()})
         assert system_to_obj(system) == {"indices": ["a"], "relations": {}}
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            [],
-            {"relations": {}},
-            {"indices": ["a"], "relations": {}, "extra": 1},
-            {"indices": "ab"},
-            {"indices": [1]},
-            {"indices": ["a|b"]},
-            {"indices": ["a"], "relations": []},
-            {"indices": ["a"], "relations": {"a": []}},
+    UNKNOWN_Q = "relation key uses unknown index 'q'"
+
+    @malformed_cases(
+        ([], "system must be an object"),
+        ({"relations": {}}, "system object needs an 'indices' array"),
+        ({"indices": ["a"], "relations": {}, "extra": 1}, "unknown keys in system object"),
+        ({"indices": "ab"}, "indices must be an array"),
+        ({"indices": [1]}, "indices entries must be strings"),
+        ({"indices": ["a|b"]}, SEPARATOR),
+        ({"indices": ["a"], "relations": []}, "'relations' must be an object"),
+        ({"indices": ["a"], "relations": {"a": []}}, "relation key 'a' must be '<alpha>|<beta>'"),
+        (
             {"indices": ["a"], "relations": {"a|b|c": []}},
-            {"indices": ["a"], "relations": {"a|q": []}},
-            {"indices": ["a"], "relations": {"q|a": []}},
-        ],
+            "relation key 'a|b|c' must be '<alpha>|<beta>'",
+        ),
+        ({"indices": ["a"], "relations": {"a|q": []}}, UNKNOWN_Q),
+        ({"indices": ["a"], "relations": {"q|a": []}}, UNKNOWN_Q),
+        ({"indices": ["a"], "relations": {1: []}}, "relation keys must be strings"),
+        # Precedence: the entries are checked key by key, each key before
+        # its relation, and the id list whole before any id.
+        ({"indices": ["a"], "relations": {"a|q": 5, "a|a": [["0"]]}}, UNKNOWN_Q),
+        ({"indices": ["a"], "relations": {"a|a": 5, "a|q": []}}, RELATION),
+        ({"indices": ["a|b", 5]}, "indices entries must be strings"),
     )
-    def test_malformed(self, bad):
-        with pytest.raises(FormatError):
+    def test_malformed(self, bad, message):
+        with pytest.raises(FormatError) as excinfo:
             system_from_obj(bad)
+        assert str(excinfo.value) == message
+
+    def test_messages_are_built_only_when_raised(self):
+        class Unprintable(str):
+            def __repr__(self):
+                raise AssertionError("a message was built for a check that passed")
+
+        obj = {"indices": ["a"], "relations": {Unprintable("a|a"): [["0", "0"]]}}
+        system = system_from_obj(obj)
+        assert system == SincovSystem(["a"], {("a", "a"): Relation([("0", "0")])})
 
     @given(valid_systems_st)
     @settings(max_examples=60)
@@ -171,20 +199,25 @@ class TestAtlasFormat:
         assert obj == {"charts": {"a": []}}
         assert atlas_from_obj(obj).indices == frozenset({"a"})
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            [],
-            {},
-            {"charts": {}, "extra": 1},
-            {"charts": []},
-            {"charts": {"a|b": []}},
-            {"charts": {"a": {"z": "0"}}},
-        ],
+    NEEDS_CHARTS = "atlas object needs exactly a 'charts' key"
+
+    @malformed_cases(
+        ([], "atlas must be an object"),
+        ({}, NEEDS_CHARTS),
+        ({"charts": {}, "extra": 1}, NEEDS_CHARTS),
+        ({"charts": []}, "'charts' must be an object"),
+        ({"charts": {"a|b": []}}, SEPARATOR),
+        ({"charts": {"a": {"z": "0"}}}, RELATION),
+        ({"charts": {1: []}}, "index ids must be strings"),
+        ({"charts": {"a": [], 1: []}}, "index ids must be strings"),
+        # Precedence: chart by chart, each id before its relation.
+        ({"charts": {"a": 5, "b|c": []}}, RELATION),
+        ({"charts": {"a|b": 5}}, SEPARATOR),
     )
-    def test_malformed(self, bad):
-        with pytest.raises(FormatError):
+    def test_malformed(self, bad, message):
+        with pytest.raises(FormatError) as excinfo:
             atlas_from_obj(bad)
+        assert str(excinfo.value) == message
 
     @given(atlases_st())
     @settings(max_examples=60)
@@ -203,8 +236,9 @@ class TestIsomorphismFormat:
         }
 
     def test_malformed(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as excinfo:
             isomorphism_from_obj({"omega": [["z", "w"]], "extra": 1})
+        assert str(excinfo.value) == "isomorphism object needs exactly an 'omega' key"
 
 
 class TestFlowFormat:
@@ -232,28 +266,60 @@ class TestFlowFormat:
         _, grid, _ = flow_from_obj({"kind": "translation", "grid": ["-3/6", "2"]})
         assert grid == [Fraction(-1, 2), Fraction(2)]
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            [],
-            {"kind": "exponential", "grid": ["0"]},
-            {"kind": "blowup"},
-            {"kind": "blowup", "grid": []},
-            {"kind": "blowup", "grid": ["0"], "bogus": 1},
-            {"kind": "blowup", "grid": ["1/0"]},
-            {"kind": "blowup", "grid": ["zap"]},
-            {"kind": "blowup", "grid": [0.5]},
-            {"kind": "blowup", "grid": ["0"], "seeds": [{"t": "0"}]},
-            {"kind": "blowup", "grid": ["0"], "seeds": [{"t": "0", "x": "1", "y": "2"}]},
+    KIND = "kind must be one of ['blowup', 'doubling', 'permutation', 'translation']"
+    NEEDS_GRID = "flow descriptor needs a non-empty 'grid'"
+    SEED_SHAPE = "each seed must be an object with keys 't' and 'x'"
+    NEEDS_TABLE = "permutation kind needs a 'permutation' table"
+    TABLE_STRINGS = "permutation table entries must be strings"
+    SEED_X = "seed value is not a valid rational: 'x'"
+
+    @malformed_cases(
+        ([], "flow descriptor must be an object"),
+        ({"kind": "exponential", "grid": ["0"]}, KIND),
+        ({"kind": "blowup"}, NEEDS_GRID),
+        ({"kind": "blowup", "grid": []}, NEEDS_GRID),
+        ({"kind": "blowup", "grid": ["0"], "bogus": 1}, "unknown keys in flow descriptor"),
+        ({"kind": "blowup", "grid": ["1/0"]}, "grid time is not a valid rational: '1/0'"),
+        ({"kind": "blowup", "grid": ["zap"]}, "grid time is not a valid rational: 'zap'"),
+        ({"kind": "blowup", "grid": [0.5]}, "grid entries must be strings"),
+        ({"kind": "blowup", "grid": ["0"], "seeds": [{"t": "0"}]}, SEED_SHAPE),
+        ({"kind": "blowup", "grid": ["0"], "seeds": [{"t": "0", "x": "1", "y": "2"}]}, SEED_SHAPE),
+        (
             {"kind": "blowup", "grid": ["0"], "permutation": {"0": "0"}},
-            {"kind": "permutation", "grid": ["0"]},
+            "'permutation' is only valid for kind 'permutation'",
+        ),
+        ({"kind": "permutation", "grid": ["0"]}, NEEDS_TABLE),
+        (
             {"kind": "permutation", "permutation": {"0": "1", "1": "1"}, "grid": ["0"]},
-            {"kind": "permutation", "permutation": {"0": 1}, "grid": ["0"]},
-        ],
+            "permutation table must be a bijection of its carrier",
+        ),
+        ({"kind": "permutation", "permutation": {"0": 1}, "grid": ["0"]}, TABLE_STRINGS),
+        ({"kind": 5, "grid": ["0"]}, KIND),
+        ({"kind": "blowup", "grid": "0"}, "grid must be an array"),
+        ({"kind": "blowup", "grid": ["x", 5]}, "grid entries must be strings"),
+        ({"kind": "blowup", "grid": ["0"], "seeds": {}}, "'seeds' must be an array"),
+        (
+            {"kind": "blowup", "grid": ["0"], "seeds": [{"t": 0, "x": "1"}]},
+            "seed time must be a rational string like '1/2'",
+        ),
+        ({"kind": "blowup", "grid": ["0"], "seeds": [{"t": "0", "x": "x"}]}, SEED_X),
+        ({"kind": "blowup", "grid": ["0"], "seeds": [{"t": "0", "x": "x"}, {"t": 0}]}, SEED_X),
+        ({"kind": "permutation", "permutation": {}, "grid": ["0"]}, NEEDS_TABLE),
+        ({"kind": "permutation", "permutation": {0: "0"}, "grid": ["0"]}, TABLE_STRINGS),
+        (
+            {
+                "kind": "permutation",
+                "permutation": {"0": "0"},
+                "grid": ["0"],
+                "seeds": [{"t": "0", "x": 0}],
+            },
+            "permutation seed values must be strings",
+        ),
     )
-    def test_malformed(self, bad):
-        with pytest.raises(FormatError):
+    def test_malformed(self, bad, message):
+        with pytest.raises(FormatError) as excinfo:
             flow_from_obj(bad)
+        assert str(excinfo.value) == message
 
 
 class TestCanonical:
