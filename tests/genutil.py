@@ -21,13 +21,13 @@ from sincov import (
     ALL_LAWS,
     EMPTY,
     Atlas,
+    FlowKind,
     FormatError,
     Isomorphism,
     Law,
     NotIsomorphic,
     Relation,
     SincovSystem,
-    FlowKind,
     ViolationReport,
     carrier,
     reconstruct,
