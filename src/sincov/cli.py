@@ -29,16 +29,26 @@ does, loads ``flows`` but no ``systems``.  ``reconstruct`` and
 ``build_system`` are bound although no subcommand calls them (``sincov
 reconstruct`` and ``sincov flow-gen`` write the transition rows from the
 charts), because bench/tracing.py patches these names.
+
+A child on a well-formed command line loads no argparse: ``main`` reads a
+command, its positionals (each ``-`` or a token not starting with ``-``)
+and ``--pretty``, ``--gamma=V`` or ``--laws=V`` at most once each into the
+namespace argparse would make, and hands anything else (``-h``,
+abbreviations, ``--gamma V``, ``--``, bad law lists, wrong counts) to
+argparse, the one source of help, usage and error text.  A child ends in
+``os._exit`` once ``run`` has flushed stdout and stderr, skipping
+interpreter teardown.  So ``python -m cProfile -m sincov ...`` prints no
+profile; profile ``cli.main`` in-process instead.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import sys
 from importlib import import_module
+from types import SimpleNamespace
 
 from . import jsonio
 from .atlas import check_at_axioms, find_isomorphism, validate_atlas
@@ -98,21 +108,19 @@ def _load(path):
 
 
 def _parse_laws(text):
-    from .systems import ALL_LAWS, Law
+    """``--laws``' value: the laws that the comma-separated ``text`` names,
+    in order.  A list that names none or an unknown law raises ValueError
+    with the message that argparse prints for it."""
+    from .systems import ALL_LAWS
 
     names = [part.strip() for part in text.split(",") if part.strip()]
     if not names:
-        raise argparse.ArgumentTypeError("--laws needs at least one law name")
-    laws = []
+        raise ValueError("--laws needs at least one law name")
+    by_value = {law.value: law for law in ALL_LAWS}
     for name in names:
-        try:
-            laws.append(Law(name))
-        except ValueError:
-            choices = ", ".join(law.value for law in ALL_LAWS)
-            raise argparse.ArgumentTypeError(
-                f"unknown law {name!r}; choose from {choices}"
-            ) from None
-    return laws
+        if name not in by_value:
+            raise ValueError(f"unknown law {name!r}; choose from {', '.join(by_value)}")
+    return [by_value[name] for name in names]
 
 
 def _violations_payload(reports):
@@ -194,14 +202,38 @@ def _cmd_flow_gen(args):
     return jsonio.GeneratedSystem(atlas), 0
 
 
+# name: (handler, help text, its positionals and the documents they name,
+# its one valued option).  Both argv readers are built from this table.
+_COMMANDS = {
+    "check": (
+        _cmd_check, "verify the transition-relation laws of a system", {"file": "system"}, "laws"
+    ),
+    "solve": (_cmd_solve, "construct a generating atlas for a system", {"file": "system"}, "gamma"),
+    "reconstruct": (
+        _cmd_reconstruct, "rebuild the system an atlas generates", {"file": "atlas"}, None
+    ),
+    "iso": (
+        _cmd_iso,
+        "find the carrier bijection between two atlases",
+        {"first": "atlas", "second": "atlas"},
+        None,
+    ),
+    "axioms": (_cmd_axioms, "set-level atlas axiom report", {"file": "atlas"}, None),
+    "flow-gen": (
+        _cmd_flow_gen, "sample a closed-form flow into a system", {"file": "flow descriptor"}, None
+    ),
+}
+
+
 def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="sincov",
         description="Solve and verify Sincov-type transition-relation systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def command(name, handler, help_text):
+    for name, (handler, help_text, positionals, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument(
             "--pretty",
@@ -209,45 +241,68 @@ def _build_parser():
             help="indented output instead of canonical one-line JSON",
         )
         p.set_defaults(handler=handler)
-        return p
+        for dest, document in positionals.items():
+            p.add_argument(dest, help=f"{document} JSON path, or - for stdin")
 
-    p = command("check", _cmd_check, "verify the transition-relation laws of a system")
-    p.add_argument("file", help="system JSON path, or - for stdin")
-    p.add_argument(
+    def laws(text):  # argparse prints an ArgumentTypeError's message as it is
+        try:
+            return _parse_laws(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    sub.choices["check"].add_argument(
         "--laws",
-        type=_parse_laws,
+        type=laws,
         default=None,
         metavar="LIST",
         help="comma-separated subset of: transitivity,symmetry,identity",
     )
-
-    p = command("solve", _cmd_solve, "construct a generating atlas for a system")
-    p.add_argument("file", help="system JSON path, or - for stdin")
-    p.add_argument(
+    sub.choices["solve"].add_argument(
         "--gamma",
         default=None,
         metavar="INDEX",
         help="group-case path: charts are the system's column at this index",
     )
-
-    p = command("reconstruct", _cmd_reconstruct, "rebuild the system an atlas generates")
-    p.add_argument("file", help="atlas JSON path, or - for stdin")
-
-    p = command("iso", _cmd_iso, "find the carrier bijection between two atlases")
-    p.add_argument("first", help="atlas JSON path, or - for stdin")
-    p.add_argument("second", help="atlas JSON path, or - for stdin")
-
-    p = command("axioms", _cmd_axioms, "set-level atlas axiom report")
-    p.add_argument("file", help="atlas JSON path, or - for stdin")
-
-    p = command("flow-gen", _cmd_flow_gen, "sample a closed-form flow into a system")
-    p.add_argument("file", help="flow descriptor JSON path, or - for stdin")
-
     return parser
 
 
+def _read_argv(argv):
+    """The namespace that argparse makes of ``argv`` when ``argv`` has the
+    shape real invocations use (see the module docstring), else None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, positionals, option = _COMMANDS[argv[0]]
+    values = {"command": argv[0], "pretty": False, "handler": handler}
+    if option:
+        values[option] = None  # a given value is never None
+    prefix = f"--{option}="
+    given = []
+    for token in argv[1:]:
+        if token == "--pretty" and not values["pretty"]:
+            values["pretty"] = True
+        elif option and token.startswith(prefix) and values[option] is None:
+            value = token[len(prefix) :]
+            if option == "laws":
+                try:
+                    value = _parse_laws(value)
+                except ValueError:  # argparse reports it
+                    return None
+            values[option] = value
+        elif token == "-" or not token.startswith("-"):
+            given.append(token)
+        else:
+            return None
+    if len(given) != len(positionals):
+        return None
+    values.update(zip(positionals, given))
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     # sincov builds no reference cycles in bulk, so the cyclic collector
     # would only re-scan its growing heap; the caller's state comes back.
     collecting = gc.isenabled()
@@ -261,7 +316,7 @@ def main(argv=None) -> int:
         print(dumps(payload), flush=True)
         return code
     except BrokenPipeError:
-        # Point stdout at devnull so the flush at interpreter exit stays quiet.
+        # Point stdout at devnull so later flushes (run's, or at interpreter exit) stay quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (FormatError, UnknownIndex, OSError) as exc:
@@ -274,12 +329,16 @@ def main(argv=None) -> int:
 
 def run():
     """Process entry point (``python -m sincov``, the ``sincov`` script):
-    ``main`` on ``sys.argv``, exiting with its code.  The heap that site
-    and the imports left is frozen first, so the collections at
-    interpreter exit skip it; ``main``, the in-process API, freezes
-    nothing."""
-    gc.freeze()
-    sys.exit(main())
+    ``main`` on ``sys.argv``, then stdout and stderr flushed and the process
+    ended by ``os._exit`` with ``main``'s code, skipping interpreter
+    teardown (atexit handlers, module and heap cleanup).  A well-formed
+    argv loads no argparse.  An exception or SystemExit (argparse's help
+    and usage errors) that escapes ``main`` takes the normal exit."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the fd was closed at startup
+            stream.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

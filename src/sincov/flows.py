@@ -97,16 +97,16 @@ def _require_integer_times(*times):
             raise KindMismatch(f"discrete flow needs integer times, got {t}")
 
 
-def _trajectory(spec: FlowSpec, times, alpha, a) -> list:
+def _trajectory(spec: FlowSpec, times, alpha, a, mapping) -> list:
     """F(tau, alpha, a) at every tau of ``times`` (None where undefined),
     converting and checking each input once, in the order tau, alpha, a, and
-    walking a permutation orbit once."""
+    walking a permutation orbit once in ``mapping``, the caller's read of
+    ``spec.mapping``."""
     times, alpha = [Fraction(tau) for tau in times], Fraction(alpha)
     if spec.kind in DISCRETE_KINDS:
         _require_integer_times(*times, alpha)
 
     if spec.kind is FlowKind.PERMUTATION:
-        mapping = spec.mapping
         a = str(a)
         if a not in mapping:
             return [None] * len(times)
@@ -126,7 +126,7 @@ def _trajectory(spec: FlowSpec, times, alpha, a) -> list:
 
 def flow_eval(spec: FlowSpec, tau, alpha, a):
     """F(tau, alpha, a), or None when outside the flow's domain."""
-    return _trajectory(spec, (tau,), alpha, a)[0]
+    return _trajectory(spec, (tau,), alpha, a, spec.mapping)[0]
 
 
 def _trajectory_atlas(spec: FlowSpec, time_grid, seeds) -> Atlas:
@@ -142,17 +142,18 @@ def _trajectory_atlas(spec: FlowSpec, time_grid, seeds) -> Atlas:
     if spec.kind in DISCRETE_KINDS:
         _require_integer_times(*grid)
     grid_set = set(grid)
+    mapping = spec.mapping  # a copy of the table: read once for every seed
 
     for seed in seeds:
         if Fraction(seed.time) not in grid_set:
             raise ValueError(f"seed time {seed.time} is not on the time grid")
-        if spec.kind is FlowKind.PERMUTATION and str(seed.value) not in spec.mapping:
+        if spec.kind is FlowKind.PERMUTATION and str(seed.value) not in mapping:
             raise ValueError(f"seed value {seed.value!r} is not in the permutation carrier")
 
     # Values by grid position, None where undefined.  The charts stringify
     # each value once; str is injective on reduced fractions, so nothing
     # merges that Fraction equality keeps apart.
-    trajectories = dict.fromkeys(tuple(_trajectory(spec, grid, *seed)) for seed in seeds)
+    trajectories = dict.fromkeys(tuple(_trajectory(spec, grid, *seed, mapping)) for seed in seeds)
     return Atlas(
         {
             t: Relation((z, traj[i]) for z, traj in enumerate(trajectories) if traj[i] is not None)

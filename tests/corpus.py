@@ -317,9 +317,10 @@ def _run(argv, data):
     return str(code), out.getvalue(), err.getvalue()
 
 
-def run_case(argv, data, own_stderr, partner, workdir) -> str:
+def run_case(argv, data, own_stderr, partner, workdir, runner=_run) -> str:
     """The sha256 of (exit code, stdout[, stderr]) of ``main(argv)`` and of
-    ``main(argv + ["--pretty"])``, each with ``data`` on stdin."""
+    ``main(argv + ["--pretty"])``, each with ``data`` on stdin; ``runner(argv,
+    data)`` gives those three strings, in-process by default."""
     if partner is not None:  # one file per distinct partner document
         path = os.path.join(workdir, hashlib.sha256(partner).hexdigest() + ".json")
         if not os.path.exists(path):
@@ -328,7 +329,7 @@ def run_case(argv, data, own_stderr, partner, workdir) -> str:
         argv = [path if arg == PARTNER else arg for arg in argv]
     fields = []
     for flags in ([], ["--pretty"]):
-        code, out, err = _run([*argv, *flags], data)
+        code, out, err = runner([*argv, *flags], data)
         fields += [code, out, err] if own_stderr else [code, out]
     return hashlib.sha256("\0".join(fields).encode("utf-8", "backslashreplace")).hexdigest()
 

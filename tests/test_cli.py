@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -487,7 +488,7 @@ class TestCollector:
         assert out == PAIR_SYSTEM.read_text()
 
     def test_main_freezes_nothing(self, capsys):
-        # Only the process entry point freezes; in-process callers keep their heap.
+        # main, the in-process API, leaves the caller's heap unfrozen.
         frozen = gc.get_freeze_count()
         assert run_cli(capsys, "check", str(PAIR_SYSTEM))[0] == 0
         assert gc.get_freeze_count() == frozen
@@ -554,6 +555,126 @@ class TestPipeline:
         assert rebuilt == generated
 
 
+def main_via(read_argv, argv, text):
+    """``run_stdin(argv, text)`` with ``cli._read_argv`` replaced by
+    ``read_argv``, and argparse's exits taken as exit codes."""
+    out, err, saved_stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = stdin_of(text)
+    try:
+        with mock.patch.object(sincov.cli, "_read_argv", read_argv):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's help and usage errors
+                    code = exc.code
+    finally:
+        sys.stdin = saved_stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+PARSER = sincov.cli._build_parser()
+
+
+def argparse_namespace(argv):
+    """``vars()`` of argparse's namespace for ``argv``, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+POSITIONAL_TOKENS = [
+    *sincov.cli._COMMANDS, "-", str(PAIR_SYSTEM), str(PAIR_ATLAS), "missing.json", "", "x", "x=y"
+]
+OPTION_TOKENS = [
+    "--pretty", "--pre", "--gamma=a", "--gamma= a ", "--gamma=", "--gamma=-1", "--gamma",
+    "--laws=identity", "--laws=symmetry, transitivity", "--laws=nope", "--laws=", "--laws= ,",
+    "-h", "--", "-1",
+]
+
+
+@st.composite
+def argv_st(draw):
+    """Token lists that mostly start with a command, then hold a few
+    positional-looking and option-looking tokens in any order."""
+    head = draw(st.sampled_from([*sincov.cli._COMMANDS, "x", "--pretty", "-h"]))
+    tail = [draw(st.sampled_from(POSITIONAL_TOKENS)) for _ in range(draw(st.integers(0, 2)))]
+    tail += draw(st.lists(st.sampled_from(OPTION_TOKENS), max_size=2))
+    return [head, *draw(st.permutations(tail))]
+
+
+STDIN_DOCUMENTS = [PAIR_SYSTEM.read_text(), PAIR_ATLAS.read_text()]
+
+
+class TestArgvReader:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "-"],
+            ["check", "--pretty", "-", "--laws=identity,symmetry"],
+            ["solve", "-", "--gamma=0"],
+            ["solve", "--gamma=", "x=y"],
+            ["solve", "--gamma= a ", "-"],
+            ["reconstruct", ""],
+            ["iso", "-", "-", "--pretty"],
+            ["axioms", "check"],
+            ["flow-gen", "-"],
+        ],
+    )
+    def test_reads_the_shape_real_invocations_use(self, argv):
+        namespace = sincov.cli._read_argv(argv)
+        assert namespace is not None
+        assert vars(namespace) == argparse_namespace(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["check", "-h"],
+            ["check", "--pre", "-"],
+            ["check", "-", "--pretty", "--pretty"],
+            ["solve", "--gamma", "x", "-"],
+            ["solve", "--gamma=a", "--gamma=b", "-"],
+            ["solve", "--", "-"],
+            ["solve", "-1"],
+            ["check", "--laws=nope", "-"],
+            ["check", "--laws=", "-"],
+            ["check", "--gamma=a", "-"],
+            ["iso", "-"],
+            ["axioms", "-", "-"],
+            ["frobnicate", "-"],
+        ],
+    )
+    def test_hands_every_other_argv_to_argparse(self, argv):
+        assert sincov.cli._read_argv(argv) is None
+
+    @given(argv=argv_st())
+    @settings(max_examples=2000, deadline=None)
+    def test_namespace_agrees_with_argparse(self, argv):
+        namespace = sincov.cli._read_argv(argv)
+        if namespace is not None:
+            assert vars(namespace) == argparse_namespace(argv)
+
+    @given(argv=argv_st(), text=st.sampled_from(STDIN_DOCUMENTS))
+    @example(argv=[], text=STDIN_DOCUMENTS[0])
+    @example(argv=["check", "--laws=identity", "-"], text=STDIN_DOCUMENTS[0])
+    @example(argv=["solve", "--gamma=a", "-", "--pretty"], text=STDIN_DOCUMENTS[0])
+    @example(argv=["iso", "-", str(PAIR_ATLAS)], text=STDIN_DOCUMENTS[1])
+    @settings(max_examples=300, deadline=None)
+    def test_output_agrees_with_argparse(self, argv, text):
+        # Exit code, stdout and stderr, argparse's help and usage text included.
+        expected = main_via(lambda argv: None, argv, text)
+        assert main_via(sincov.cli._read_argv, argv, text) == expected
+
+
+def buffered_env():
+    """This environment without PYTHONUNBUFFERED, so a child's streams hold
+    what it writes until they are flushed."""
+    return {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+
+
 class TestSubprocessEntryPoints:
     def test_module_invocation(self):
         result = subprocess.run(
@@ -565,19 +686,92 @@ class TestSubprocessEntryPoints:
         assert json.loads(result.stdout) == {"violations": []}
 
     @pytest.mark.parametrize("entry", ["module", "script"])
-    def test_entry_point_freezes_the_heap_before_main(self, entry):
-        # A stand-in main reports the freeze count that the real one starts with.
+    def test_entry_point_exits_with_mains_code_after_flushing(self, entry):
+        # A stand-in main leaves text in both streams' buffers and registers
+        # an atexit handler: run flushes the one and skips the other.
         if entry == "module":
             call = "import runpy; runpy.run_module('sincov', run_name='__main__')"
         else:
             target = re.search(r'^sincov = "(.+)"$', PYPROJECT.read_text(), re.MULTILINE)[1]
             module, _, name = target.partition(":")
             call = f"import {module}; {module}.{name}()"
-        stand_in = "sincov.cli.main = lambda: print(gc.get_freeze_count())"
-        script = f"import gc, sincov.cli\n{stand_in}\n{call}"
+        stand_in = (
+            "def main():\n"
+            "    atexit.register(print, 'teardown ran')\n"
+            "    sys.stdout.write('out'); sys.stderr.write('err')\n"
+            "    return 3\n"
+            "sincov.cli.main = main\n"
+        )
+        script = f"import atexit, sys, sincov.cli\n{stand_in}{call}"
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=buffered_env(),
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (3, "out", "err")
+
+    def test_exception_in_main_takes_the_normal_exit(self):
+        script = (
+            "import sincov.cli\n"
+            "def main():\n"
+            "    raise RuntimeError('boom')\n"
+            "sincov.cli.main = main\n"
+            "sincov.cli.run()"
+        )
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.startswith("Traceback (most recent call last):\n")
+        assert result.stderr.endswith("RuntimeError: boom\n")
+
+    def test_help_exits_0_with_argparse_text(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        result = subprocess.run(
+            [sys.executable, "-m", "sincov", "-h"], capture_output=True, text=True
+        )
         assert (result.returncode, result.stderr) == (0, "")
-        assert int(result.stdout) > 0
+        assert result.stdout == sincov.cli._build_parser().format_help()
+
+    @pytest.mark.parametrize(
+        "argv, text, code",
+        [
+            (["check", "-"], BROKEN_SYMMETRY, 1),
+            (["axioms", str(AXIOMS_FAIL_ATLAS), "--pretty"], "", 1),
+            (["check", "-"], "{", 2),
+            (["solve", "--gamma=q", "-"], PAIR_SYSTEM.read_text(), 2),
+            (["check", "--laws=nope", "-"], "{}", 2),
+        ],
+        ids=["violations", "axioms-pretty", "malformed", "unknown-gamma", "argparse-error"],
+    )
+    def test_exit_codes_1_and_2_keep_their_output(self, monkeypatch, argv, text, code):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+        result = subprocess.run(
+            [sys.executable, "-m", "sincov", *argv],
+            input=text.encode(),
+            capture_output=True,
+            env=buffered_env(),
+        )
+        got = (result.returncode, result.stdout.decode(), result.stderr.decode())
+        assert got == main_via(sincov.cli._read_argv, argv, text)
+        assert got[0] == code
+        assert got[1 if code == 1 else 2]  # the payload, or the error text
+
+    def test_large_output_reaches_the_pipe_whole(self):
+        # A 1 000-point atlas whose generated system is 2.6 MB of text, far more
+        # than a pipe holds, so the child writes while the parent reads.
+        charts = {
+            f"c{k:02d}": [[f"z{n}", f"{k}.{n}"] for n in range(1000)] for k in range(12)
+        }
+        text = json.dumps({"charts": charts})
+        result = subprocess.run(
+            [sys.executable, "-m", "sincov", "reconstruct", "-"],
+            input=text.encode(),
+            capture_output=True,
+            env=buffered_env(),
+        )
+        code, out, err = run_stdin(["reconstruct", "-"], text)
+        assert (code, err) == (0, "") and len(out) > 2_000_000
+        assert (result.returncode, result.stdout.decode(), result.stderr) == (0, out, b"")
 
     @pytest.mark.parametrize("hash_seed", ["0", "1"])
     def test_shell_pipeline(self, hash_seed):

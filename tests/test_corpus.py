@@ -1,12 +1,16 @@
 """The byte corpus: every case prints what ``tests/golden/corpus.sha256``
-pins, under every hash seed.  ``python tests/corpus.py --rewrite`` rewrites
-the manifest when a change means to alter output bytes."""
+pins, under every hash seed, and a sample of cases prints it through
+``python -m sincov`` children too.  ``python tests/corpus.py --rewrite``
+rewrites the manifest when a change means to alter output bytes."""
 
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import corpus
+
+SRC = Path(corpus.__file__).resolve().parent.parent / "src"
 
 
 def test_every_case_prints_its_manifest_bytes():
@@ -29,3 +33,26 @@ def test_manifest_holds_under_hash_seeds_0_and_1():
         for seed in ("0", "1")
     ]
     assert [(child.communicate()[1], child.returncode) for child in children] == [("", 0)] * 2
+
+
+def run_child(argv, data):
+    """``python -m sincov argv`` from this tree's src, with ``data`` on
+    stdin: (exit code, stdout, stderr), decoded as the child wrote them."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": "utf-8"}
+    env.pop("PYTHONUNBUFFERED", None)  # the streams' buffers are what run flushes
+    result = subprocess.run(
+        [sys.executable, "-m", "sincov", *argv], input=data, capture_output=True, env=env
+    )
+    return str(result.returncode), result.stdout.decode(), result.stderr.decode()
+
+
+def test_children_print_the_manifest_bytes(tmp_path):
+    # Every 16th case, canonical and --pretty: the bytes written through
+    # cli.run, whose process ends in os._exit, not only main's in-process text.
+    expected = corpus.read_manifest()
+    sample = corpus.cases()[::16]
+    found = {
+        name: corpus.run_case(argv, data, own, partner, str(tmp_path), run_child)
+        for name, argv, data, own, partner in sample
+    }
+    assert found == {name: expected[name] for name in found}

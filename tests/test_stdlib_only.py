@@ -3,6 +3,7 @@ startup import set lean, computes exactly, and its records keep their
 construction, equality, hash, immutability and repr."""
 
 import ast
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -73,6 +74,30 @@ def child_output(code):
 def test_cli_import_loads_no_dataclasses_or_inspect():
     code = "import sincov.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     assert child_output(code) == "[]\n"
+
+
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+def test_well_formed_invocation_loads_no_argparse():
+    code = f"import sincov.cli; print(sorted({ARGPARSE!r} & set(sys.modules)))"
+    assert child_output(code) == "[]\n"
+    # A python -m child ends in os._exit, so its imports are read off -X importtime.
+    result = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "sincov", "axioms", "-"],
+        input='{"charts":{}}',
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    report = (GOLDEN / "axioms_pass.report.json").read_text()
+    assert (result.returncode, result.stdout) == (0, report)
+    imported = {
+        line.rpartition("|")[2].strip()
+        for line in result.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "sincov.cli" in imported and ARGPARSE.isdisjoint(imported)
 
 
 LATE = {"fractions", "decimal", "numbers", "sincov.flows", "sincov.systems"}
