@@ -12,9 +12,11 @@ Subcommands wire the library together over JSON documents:
 Exit codes: 0 success / all laws hold; 1 laws violated, axiom failure, or
 not isomorphic (the payload carries witnesses); 2 malformed input (non-UTF-8
 bytes and integer literals past Python's digit limit included), bad
-invocation, or a closed standard stream (stdout, or stdin read as "-");
-141 (128 + SIGPIPE, what a shell reports for a process that signal
-killed) when the reader closes stdout early, with nothing on stderr.
+invocation, or a closed or unusable standard stream (stdout, or stdin
+read as "-"); 141 (128 + SIGPIPE, what a shell reports for a process
+that signal killed) when the reader closes stdout early, with nothing on
+stderr.  A closed or unwritable stderr changes neither the exit code nor
+stdout: the diagnostics are dropped.
 Payloads go to stdout in canonical JSON (sorted keys, compact separators,
 one trailing newline) so identical inputs produce byte-identical outputs;
 diagnostics go to stderr.  Every file argument accepts "-" for stdin,
@@ -320,7 +322,10 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (FormatError, UnknownIndex, OSError) as exc:
-        print(f"sincov: error: {exc}", file=sys.stderr)
+        try:
+            print(f"sincov: error: {exc}", file=sys.stderr)
+        except OSError:  # an unwritable stderr loses the text, not the exit code
+            pass
         return 2
     finally:
         if collecting:
@@ -330,14 +335,26 @@ def main(argv=None) -> int:
 def run():
     """Process entry point (``python -m sincov``, the ``sincov`` script):
     ``main`` on ``sys.argv``, then stdout and stderr flushed and the process
-    ended by ``os._exit`` with ``main``'s code, skipping interpreter
-    teardown (atexit handlers, module and heap cleanup).  A well-formed
-    argv loads no argparse.  An exception or SystemExit (argparse's help
-    and usage errors) that escapes ``main`` takes the normal exit."""
-    code = main()
+    ended by ``os._exit`` with ``main``'s code, or argparse's for its help
+    and usage errors, skipping interpreter teardown (atexit handlers,
+    module and heap cleanup).  A well-formed argv loads no argparse.  An
+    exception that escapes ``main`` takes the normal exit.
+
+    A stderr closed at startup is bound to devnull, so no diagnostic falls
+    back to stdout.  A failed flush is dropped: it held a diagnostic, or a
+    payload whose failed write ``main`` has already made exit 2."""
+    if sys.stderr is None:  # fd 2 was closed at startup
+        sys.stderr = open(os.devnull, "w")
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's; the exit's own flush would fail as 120
+        code = exc.code
     for stream in (sys.stdout, sys.stderr):
-        if stream is not None:  # None when the fd was closed at startup
-            stream.flush()
+        if stream is not None:  # stdout is None when fd 1 was closed at startup
+            try:
+                stream.flush()
+            except OSError:
+                pass
     os._exit(code)
 
 

@@ -23,6 +23,10 @@ interpreter runs it:
 
 ``tests/test_corpus.py`` runs the check under pytest.  A change that means
 to alter output bytes rewrites the manifest and shows its diff.
+
+The two ways the tests run sincov live here too: ``run_main`` calls
+``cli.main`` in-process, and ``run_child`` starts ``python -m sincov`` on
+this tree's src.
 """
 
 from __future__ import annotations
@@ -33,10 +37,12 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 MANIFEST = Path(__file__).resolve().parent / "golden" / "corpus.sha256"
 PARTNER = "<partner>"  # argv slot for the second atlas file of an iso case
 
@@ -301,7 +307,9 @@ def cases():
     return out
 
 
-def _run(argv, data):
+def run_main(argv, data):
+    """``cli.main(argv)`` in-process with ``data`` bytes on a strict-UTF-8
+    stdin: (exit code, stdout, stderr), argparse's exits taken as codes."""
     from sincov.cli import main
 
     out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
@@ -314,13 +322,32 @@ def _run(argv, data):
                 code = exc.code
     finally:
         sys.stdin = saved
-    return str(code), out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
-def run_case(argv, data, own_stderr, partner, workdir, runner=_run) -> str:
+def run_child(argv, data=b"", env=None, preexec_fn=None):
+    """``python -m sincov argv`` from this tree's src, with ``data`` on stdin:
+    (exit code, stdout bytes, stderr bytes).  ``env`` adds to this process's
+    environment, whose PYTHONUNBUFFERED is dropped so the child's streams
+    hold what it writes until ``run`` flushes them; ``preexec_fn`` runs in
+    the child before Python starts."""
+    env = {**os.environ, **(env or {})}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    result = subprocess.run(
+        [sys.executable, "-m", "sincov", *argv],
+        input=data,
+        capture_output=True,
+        env=env,
+        preexec_fn=preexec_fn,
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+def run_case(argv, data, own_stderr, partner, workdir, runner=run_main) -> str:
     """The sha256 of (exit code, stdout[, stderr]) of ``main(argv)`` and of
     ``main(argv + ["--pretty"])``, each with ``data`` on stdin; ``runner(argv,
-    data)`` gives those three strings, in-process by default."""
+    data)`` gives the code and the two strings, in-process by default."""
     if partner is not None:  # one file per distinct partner document
         path = os.path.join(workdir, hashlib.sha256(partner).hexdigest() + ".json")
         if not os.path.exists(path):
@@ -330,7 +357,7 @@ def run_case(argv, data, own_stderr, partner, workdir, runner=_run) -> str:
     fields = []
     for flags in ([], ["--pretty"]):
         code, out, err = runner([*argv, *flags], data)
-        fields += [code, out, err] if own_stderr else [code, out]
+        fields += [str(code), out, err] if own_stderr else [str(code), out]
     return hashlib.sha256("\0".join(fields).encode("utf-8", "backslashreplace")).hexdigest()
 
 
@@ -368,5 +395,5 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    sys.path.insert(0, str(SRC))
     sys.exit(main(sys.argv[1:]))

@@ -6,12 +6,11 @@ driven by a fixed-seed random.Random, so reruns are bit-for-bit identical.
 """
 
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
+from corpus import run_child
 from genutil import (
     mutate_atlas,
     random_atlas,
@@ -259,32 +258,23 @@ FLOW_DESCRIPTORS = {
 }
 
 
-def run_cli(arguments, stdin_bytes=None):
-    return subprocess.run(
-        [sys.executable, "-m", "sincov", *arguments],
-        input=stdin_bytes,
-        capture_output=True,
-        check=True,
-    ).stdout
-
-
 def test_criterion_9_cli_pipeline(tmp_path):
     identical = []
     for kind, descriptor in sorted(FLOW_DESCRIPTORS.items()):
         path = tmp_path / f"{kind}.json"
         path.write_text(descriptor, encoding="utf-8")
-        generated = run_cli(["flow-gen", str(path)])
-        solved = run_cli(["solve", "-"], generated)
-        rebuilt = run_cli(["reconstruct", "-"], solved)
-        identical.append(rebuilt == generated)
+        code1, generated, _ = run_child(["flow-gen", str(path)])
+        code2, solved, _ = run_child(["solve", "-"], generated)
+        code3, rebuilt, _ = run_child(["reconstruct", "-"], solved)
+        identical.append((code1, code2, code3, rebuilt) == (0, 0, 0, generated))
 
-    atlas_bytes = run_cli(["solve", str(GOLDEN / "pair_system.json")])
+    atlas = run_child(["solve", str(GOLDEN / "pair_system.json")])[:2]
     goldens = [
-        atlas_bytes == (GOLDEN / "pair_system.atlas.json").read_bytes(),
-        run_cli(["flow-gen", str(GOLDEN / "blowup_flow.json")])
-        == (GOLDEN / "blowup_flow.system.json").read_bytes(),
-        run_cli(["axioms", "-"], atlas_bytes)
-        == (GOLDEN / "axioms_pass.report.json").read_bytes(),
+        atlas == (0, (GOLDEN / "pair_system.atlas.json").read_bytes()),
+        run_child(["flow-gen", str(GOLDEN / "blowup_flow.json")])[:2]
+        == (0, (GOLDEN / "blowup_flow.system.json").read_bytes()),
+        run_child(["axioms", "-"], atlas[1])[:2]
+        == (0, (GOLDEN / "axioms_pass.report.json").read_bytes()),
     ]
 
     ok = all(identical) and all(goldens)

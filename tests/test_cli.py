@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import sincov.atlas
 import sincov.cli
 import sincov.systems
+from corpus import run_child, run_main
 from genutil import atlases_st, corrupted_atlases_st, raw_atlases_st
 from sincov import Atlas, InvalidAtlas, Relation, jsonio, reconstruct
 from sincov.cli import main
@@ -43,19 +44,6 @@ def run_cli(capsys, *argv):
 def stdin_of(text):
     # sincov reads the bytes under sys.stdin, so a test's stdin needs a buffer.
     return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
-
-
-def run_stdin(argv, text):
-    """``main(argv)`` with ``text`` on stdin, outside pytest's capture
-    fixtures (which Hypothesis tests cannot take): (code, stdout, stderr)."""
-    out, err, saved_stdin = io.StringIO(), io.StringIO(), sys.stdin
-    sys.stdin = stdin_of(text)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    finally:
-        sys.stdin = saved_stdin
-    return code, out.getvalue(), err.getvalue()
 
 
 def write(tmp_path, name, text):
@@ -100,16 +88,11 @@ class TestCheck:
         assert "error" in err
 
     def test_deeply_nested_json(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "sincov", "check", "-"],
-            input="[" * 100000 + "]" * 100000,
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 2
-        assert result.stdout == ""
-        assert result.stderr.startswith("sincov: error: ")
-        assert "Traceback" not in result.stderr
+        code, out, err = run_child(["check", "-"], b"[" * 100000 + b"]" * 100000)
+        assert code == 2
+        assert out == b""
+        assert err.startswith(b"sincov: error: ")
+        assert b"Traceback" not in err
 
     @pytest.mark.parametrize(
         "raw",
@@ -135,16 +118,12 @@ class TestCheck:
     def test_non_utf8_stdin_is_malformed_under_the_c_locale(self):
         # The C locale gives sys.stdin surrogateescape, which would let the
         # byte through as the id "\udcff" with exit 0.
-        result = subprocess.run(
-            [sys.executable, "-m", "sincov", "solve", "-"],
-            input=b'{"indices":["\xff"],"relations":{}}',
-            capture_output=True,
-            env={**os.environ, "LC_ALL": "C"},
-        )
-        assert result.returncode == 2
-        assert result.stdout == b""
-        assert result.stderr.startswith(b"sincov: error: -: ")
-        assert result.stderr.count(b"\n") == 1
+        data = b'{"indices":["\xff"],"relations":{}}'
+        code, out, err = run_child(["solve", "-"], data, {"LC_ALL": "C"})
+        assert code == 2
+        assert out == b""
+        assert err.startswith(b"sincov: error: -: ")
+        assert err.count(b"\n") == 1
 
     def test_wrong_shape(self, capsys, tmp_path):
         path = write(tmp_path, "shape.json", '{"indices":["a"],"relations":{"a":[]}}')
@@ -300,7 +279,7 @@ class TestReconstruct:
             payload, expected = {"chart_violations": violations}, 1
         text = jsonio.canonical_dumps(jsonio.atlas_to_obj(atlas))
         for flags, dumps in (([], jsonio.canonical_dumps), (["--pretty"], jsonio.pretty_dumps)):
-            result = run_stdin(["reconstruct", "-", *flags], text)
+            result = run_main(["reconstruct", "-", *flags], text.encode())
             assert result == (expected, dumps(payload) + "\n", "")
 
 
@@ -456,21 +435,15 @@ class TestFuzz:
         # Any one field of a valid document replaced by any JSON value: a
         # payload and exit 0 or 1, or exit 2 with one error line and no payload.
         argv, doc, path = field
-        out, err, saved_stdin = io.StringIO(), io.StringIO(), sys.stdin
-        sys.stdin = stdin_of(json.dumps(_replaced(doc, path, value)))
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-        finally:
-            sys.stdin = saved_stdin
+        code, out, err = run_main(argv, json.dumps(_replaced(doc, path, value)).encode())
         assert code in (0, 1, 2)
         if code == 2:
-            assert out.getvalue() == ""
-            assert err.getvalue().startswith("sincov: error: ")
-            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+            assert out == ""
+            assert err.startswith("sincov: error: ")
+            assert err.count("\n") == 1 and err.endswith("\n")
         else:
-            json.loads(out.getvalue())
-            assert err.getvalue() == ""
+            json.loads(out)
+            assert err == ""
 
 
 class TestCollector:
@@ -512,6 +485,37 @@ class TestCollector:
             gc.enable()
         capsys.readouterr()
         assert code == expected
+
+
+STAND_INS = [
+    ("check_sincov", ["check", "-"]),
+    ("solve_atlas", ["solve", "-"]),
+    ("solve_via_fixed_index", ["solve", "--gamma=a", "-"]),
+]
+
+
+class TestStandIns:
+    # bench/tracing.py spans both cli's and systems' name for a function.
+    # A stand-in that forwarded on every call would nest the one span in
+    # the other, and count each call twice.
+    @pytest.mark.parametrize("name, argv", STAND_INS, ids=[n for n, _ in STAND_INS])
+    def test_first_call_binds_the_systems_function(self, name, argv):
+        assert run_main(argv, PAIR_SYSTEM.read_bytes())[0] == 0
+        assert getattr(sincov.cli, name) is getattr(sincov.systems, name)
+
+    @pytest.mark.parametrize("name, argv", STAND_INS, ids=[n for n, _ in STAND_INS])
+    def test_replacement_bound_before_the_first_call_stays(self, monkeypatch, name, argv):
+        stand_in, calls = sincov.cli._bound_at_first_call("systems", name), []
+
+        def replacement(*args):
+            calls.append(name)
+            return stand_in(*args)
+
+        monkeypatch.setattr(sincov.cli, name, replacement)
+        for _ in range(2):
+            assert run_main(argv, PAIR_SYSTEM.read_bytes())[0] == 0
+        assert getattr(sincov.cli, name) is replacement
+        assert calls == [name, name]
 
 
 class TestOutputModes:
@@ -556,20 +560,9 @@ class TestPipeline:
 
 
 def main_via(read_argv, argv, text):
-    """``run_stdin(argv, text)`` with ``cli._read_argv`` replaced by
-    ``read_argv``, and argparse's exits taken as exit codes."""
-    out, err, saved_stdin = io.StringIO(), io.StringIO(), sys.stdin
-    sys.stdin = stdin_of(text)
-    try:
-        with mock.patch.object(sincov.cli, "_read_argv", read_argv):
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:  # argparse's help and usage errors
-                    code = exc.code
-    finally:
-        sys.stdin = saved_stdin
-    return code, out.getvalue(), err.getvalue()
+    """``run_main(argv, text)`` with ``cli._read_argv`` replaced by ``read_argv``."""
+    with mock.patch.object(sincov.cli, "_read_argv", read_argv):
+        return run_main(argv, text.encode())
 
 
 PARSER = sincov.cli._build_parser()
@@ -669,21 +662,20 @@ class TestArgvReader:
         assert main_via(sincov.cli._read_argv, argv, text) == expected
 
 
-def buffered_env():
-    """This environment without PYTHONUNBUFFERED, so a child's streams hold
-    what it writes until they are flushed."""
-    return {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+# name: (argv, stdin bytes), one per outcome of a run whose streams are open.
+STREAM_DOCUMENTS = {
+    "lawful": (["check", "-"], PAIR_SYSTEM.read_bytes()),
+    "unlawful": (["check", "-"], BROKEN_SYMMETRY.encode()),
+    "malformed": (["check", "-"], b"{"),
+    "usage-error": (["check", "--laws=nope", "-"], b"{}"),
+}
 
 
 class TestSubprocessEntryPoints:
     def test_module_invocation(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "sincov", "check", str(PAIR_SYSTEM)],
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0
-        assert json.loads(result.stdout) == {"violations": []}
+        code, out, _ = run_child(["check", str(PAIR_SYSTEM)])
+        assert code == 0
+        assert json.loads(out) == {"violations": []}
 
     @pytest.mark.parametrize("entry", ["module", "script"])
     def test_entry_point_exits_with_mains_code_after_flushing(self, entry):
@@ -707,7 +699,7 @@ class TestSubprocessEntryPoints:
             [sys.executable, "-c", script],
             capture_output=True,
             text=True,
-            env=buffered_env(),
+            env={key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"},
         )
         assert (result.returncode, result.stdout, result.stderr) == (3, "out", "err")
 
@@ -726,11 +718,9 @@ class TestSubprocessEntryPoints:
 
     def test_help_exits_0_with_argparse_text(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
-        result = subprocess.run(
-            [sys.executable, "-m", "sincov", "-h"], capture_output=True, text=True
-        )
-        assert (result.returncode, result.stderr) == (0, "")
-        assert result.stdout == sincov.cli._build_parser().format_help()
+        code, out, err = run_child(["-h"])
+        assert (code, err) == (0, b"")
+        assert out.decode() == sincov.cli._build_parser().format_help()
 
     @pytest.mark.parametrize(
         "argv, text, code",
@@ -745,13 +735,8 @@ class TestSubprocessEntryPoints:
     )
     def test_exit_codes_1_and_2_keep_their_output(self, monkeypatch, argv, text, code):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
-        result = subprocess.run(
-            [sys.executable, "-m", "sincov", *argv],
-            input=text.encode(),
-            capture_output=True,
-            env=buffered_env(),
-        )
-        got = (result.returncode, result.stdout.decode(), result.stderr.decode())
+        status, out, err = run_child(argv, text.encode())
+        got = (status, out.decode(), err.decode())
         assert got == main_via(sincov.cli._read_argv, argv, text)
         assert got[0] == code
         assert got[1 if code == 1 else 2]  # the payload, or the error text
@@ -762,59 +747,48 @@ class TestSubprocessEntryPoints:
         charts = {
             f"c{k:02d}": [[f"z{n}", f"{k}.{n}"] for n in range(1000)] for k in range(12)
         }
-        text = json.dumps({"charts": charts})
-        result = subprocess.run(
-            [sys.executable, "-m", "sincov", "reconstruct", "-"],
-            input=text.encode(),
-            capture_output=True,
-            env=buffered_env(),
-        )
-        code, out, err = run_stdin(["reconstruct", "-"], text)
+        data = json.dumps({"charts": charts}).encode()
+        code, out, err = run_main(["reconstruct", "-"], data)
         assert (code, err) == (0, "") and len(out) > 2_000_000
-        assert (result.returncode, result.stdout.decode(), result.stderr) == (0, out, b"")
+        assert run_child(["reconstruct", "-"], data) == (0, out.encode(), b"")
 
     @pytest.mark.parametrize("hash_seed", ["0", "1"])
     def test_shell_pipeline(self, hash_seed):
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
-        generated = subprocess.run(
-            [sys.executable, "-m", "sincov", "flow-gen", str(BLOWUP_FLOW)],
-            capture_output=True,
-            check=True,
-            env=env,
-        ).stdout
-        solved = subprocess.run(
-            [sys.executable, "-m", "sincov", "solve", "-"],
-            input=generated,
-            capture_output=True,
-            check=True,
-            env=env,
-        ).stdout
-        rebuilt = subprocess.run(
-            [sys.executable, "-m", "sincov", "reconstruct", "-"],
-            input=solved,
-            capture_output=True,
-            check=True,
-            env=env,
-        ).stdout
+        env = {"PYTHONHASHSEED": hash_seed}
+        code, generated, _ = run_child(["flow-gen", str(BLOWUP_FLOW)], env=env)
+        assert code == 0
+        code, solved, _ = run_child(["solve", "-"], generated, env)
+        assert code == 0
+        code, rebuilt, _ = run_child(["reconstruct", "-"], solved, env)
+        assert code == 0
         assert rebuilt == generated == BLOWUP_SYSTEM.read_bytes()
 
-    @pytest.mark.parametrize(
-        "argv, fd",
-        [(["check", "-"], 0), (["check", str(PAIR_SYSTEM)], 1)],
-        ids=["closed-stdin", "closed-stdout"],
-    )
-    def test_closed_standard_stream_is_an_error(self, argv, fd):
-        # The child starts with the fd closed, so Python sets that stream to None.
-        result = subprocess.run(
-            [sys.executable, "-m", "sincov", *argv],
-            stdout=subprocess.PIPE if fd == 0 else None,
-            stderr=subprocess.PIPE,
-            preexec_fn=lambda: os.close(fd),
-        )
-        assert result.returncode == 2
-        assert not result.stdout
-        lines = result.stderr.decode().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("sincov: error: ")
+    @pytest.mark.parametrize("document", sorted(STREAM_DOCUMENTS))
+    @pytest.mark.parametrize("fd", [0, 1, 2], ids=["stdin", "stdout", "stderr"])
+    @pytest.mark.parametrize("broken", ["closed", "wrong-way"])
+    def test_standard_stream_matrix(self, monkeypatch, broken, fd, document):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+        argv, data = STREAM_DOCUMENTS[document]
+
+        def break_stream():  # in the child, before Python sets up its streams
+            if broken == "closed":  # Python sets that stream to None
+                os.close(fd)
+            else:  # stdin opened for writing, stdout or stderr for reading
+                os.dup2(os.open(os.devnull, os.O_WRONLY if fd == 0 else os.O_RDONLY), fd)
+
+        code, out, err = run_child(argv, data, preexec_fn=break_stream)
+        open_code, open_out, open_err = run_main(argv, data)
+        # Only stderr may fail without failing the run: input is unread, or
+        # the payload unwritten, otherwise.
+        assert code == (open_code if fd == 2 else 2)
+        assert out == (open_out.encode() if fd == 2 else b"")
+        if fd == 2:
+            assert err == b""
+        elif document == "usage-error":
+            assert err.decode() == open_err
+        else:
+            lines = err.decode().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("sincov: error: ")
 
     def test_broken_pipe_exits_quietly(self, tmp_path):
         # About 115 KiB of output, more than a pipe and a read buffer hold, so

@@ -6,11 +6,8 @@ rewrites the manifest when a change means to alter output bytes."""
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import corpus
-
-SRC = Path(corpus.__file__).resolve().parent.parent / "src"
 
 
 def test_every_case_prints_its_manifest_bytes():
@@ -35,15 +32,10 @@ def test_manifest_holds_under_hash_seeds_0_and_1():
     assert [(child.communicate()[1], child.returncode) for child in children] == [("", 0)] * 2
 
 
-def run_child(argv, data):
-    """``python -m sincov argv`` from this tree's src, with ``data`` on
-    stdin: (exit code, stdout, stderr), decoded as the child wrote them."""
-    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": "utf-8"}
-    env.pop("PYTHONUNBUFFERED", None)  # the streams' buffers are what run flushes
-    result = subprocess.run(
-        [sys.executable, "-m", "sincov", *argv], input=data, capture_output=True, env=env
-    )
-    return str(result.returncode), result.stdout.decode(), result.stderr.decode()
+def decoded_child(argv, data):
+    """``corpus.run_child`` with its streams decoded as the child wrote them."""
+    code, out, err = corpus.run_child(argv, data, {"PYTHONIOENCODING": "utf-8"})
+    return code, out.decode(), err.decode()
 
 
 def test_children_print_the_manifest_bytes(tmp_path):
@@ -52,7 +44,7 @@ def test_children_print_the_manifest_bytes(tmp_path):
     expected = corpus.read_manifest()
     sample = corpus.cases()[::16]
     found = {
-        name: corpus.run_case(argv, data, own, partner, str(tmp_path), run_child)
+        name: corpus.run_case(argv, data, own, partner, str(tmp_path), decoded_child)
         for name, argv, data, own, partner in sample
     }
     assert found == {name: expected[name] for name in found}
