@@ -33,14 +33,17 @@ reconstruct`` and ``sincov flow-gen`` write the transition rows from the
 charts), because bench/tracing.py patches these names.
 
 A child on a well-formed command line loads no argparse: ``main`` reads a
-command, its positionals (each ``-`` or a token not starting with ``-``)
-and ``--pretty``, ``--gamma=V`` or ``--laws=V`` at most once each into the
-namespace argparse would make, and hands anything else (``-h``,
-abbreviations, ``--gamma V``, ``--``, bad law lists, wrong counts) to
-argparse, the one source of help, usage and error text.  A child ends in
-``os._exit`` once ``run`` has flushed stdout and stderr, skipping
-interpreter teardown.  So ``python -m cProfile -m sincov ...`` prints no
-profile; profile ``cli.main`` in-process instead.
+command, its positionals (each ``-`` or a token not starting with ``-``),
+``--pretty`` and the command's ``--gamma`` or ``--laws`` at most once each
+into the namespace argparse would make.  The value comes as ``--laws=V``
+or, when V does not start with ``-``, as the next token: ``--laws V``.  It
+hands anything else (``-h``, abbreviations, ``--gamma -V``, ``--``, bad
+law lists, wrong counts) to argparse, the one source of help, usage and
+error text.  A positional that argparse leaves as anything but a string
+(``iso FILE -- --`` gives ``second=[]`` on Python 3.11) is a usage error,
+exit 2.  A child ends in ``os._exit`` once ``run`` has flushed stdout and
+stderr, skipping interpreter teardown.  So ``python -m cProfile -m sincov
+...`` prints no profile; profile ``cli.main`` in-process instead.
 """
 
 from __future__ import annotations
@@ -278,24 +281,28 @@ def _read_argv(argv):
     if option:
         values[option] = None  # a given value is never None
     prefix = f"--{option}="
+    tokens = iter(argv[1:])
     given = []
-    for token in argv[1:]:
+    for token in tokens:
         if token == "--pretty" and not values["pretty"]:
             values["pretty"] = True
         elif option and token.startswith(prefix) and values[option] is None:
-            value = token[len(prefix) :]
-            if option == "laws":
-                try:
-                    value = _parse_laws(value)
-                except ValueError:  # argparse reports it
-                    return None
-            values[option] = value
+            values[option] = token[len(prefix) :]
+        elif option and token == prefix[:-1] and values[option] is None:
+            values[option] = next(tokens, "-")
+            if values[option].startswith("-"):  # none, or one argparse reads its own way
+                return None
         elif token == "-" or not token.startswith("-"):
             given.append(token)
         else:
             return None
     if len(given) != len(positionals):
         return None
+    if option == "laws" and values["laws"] is not None:
+        try:
+            values["laws"] = _parse_laws(values["laws"])
+        except ValueError:  # argparse reports it
+            return None
     values.update(zip(positionals, given))
     return SimpleNamespace(**values)
 
@@ -304,7 +311,12 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_argv(argv)
     if args is None:
-        args = _build_parser().parse_args(argv)
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        # argparse reads "iso FILE -- --" as second=[] (Python 3.11).
+        for name in _COMMANDS[args.command][2]:
+            if not isinstance(getattr(args, name), str):
+                parser.error(f"argument {name}: expected one argument")
     # sincov builds no reference cycles in bulk, so the cyclic collector
     # would only re-scan its growing heap; the caller's state comes back.
     collecting = gc.isenabled()

@@ -149,9 +149,6 @@ def relabel_system(system: SincovSystem, index_map, element_map) -> SincovSystem
 ids_st = st.text(alphabet="abc012", min_size=1, max_size=2)
 pairs_st = st.tuples(ids_st, ids_st)
 relations_st = st.builds(Relation, st.frozensets(pairs_st, max_size=10))
-partial_bijections_st = st.lists(
-    pairs_st, unique_by=(lambda p: p[0], lambda p: p[1]), max_size=8
-).map(Relation)
 
 
 class Label(str):

@@ -80,7 +80,11 @@ def test_criterion_3_isomorphism():
         omega = random_carrier_bijection(rng, carrier(a1))
         a2 = rename_carrier(a1, omega)
         iso = find_isomorphism(a1, a2)
-        if iso.omega == omega and verify_isomorphism(a1, a2, iso):
+        if (
+            iso.omega == omega
+            and verify_isomorphism(a1, a2, iso)
+            and reconstruct(a2) == reconstruct(a1)
+        ):
             recovered += 1
 
     refuted = 0

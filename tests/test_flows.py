@@ -312,12 +312,6 @@ class TestVectorFieldResidual:
         spec = FlowSpec.translation()
         assert vector_field_residual(spec, F(3, 7), F(-2, 5), F(1, 100)) == 0
 
-    def test_blowup_reference_points(self):
-        spec = FlowSpec.blowup()
-        assert vector_field_residual(spec, 0, 1, F(1, 10)) == F(1, 9)
-        assert vector_field_residual(spec, 0, 1, F(1, 100)) == F(1, 99)
-        assert vector_field_residual(spec, 0, 1, F(1, 1000)) == F(1, 999)
-
     def test_blowup_zero_solution(self):
         assert vector_field_residual(FlowSpec.blowup(), 0, 0, F(1, 3)) == 0
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from genutil import Label, partial_bijections_st, relations_st
+from genutil import Label, relations_st
 from sincov import EMPTY, Atlas, CoinjectivityViolated, Relation, SincovSystem
 
 
@@ -115,22 +115,6 @@ class TestPredicates:
     def test_coinjective_is_inverse_injectivity(self, rho):
         assert rho.is_coinjective() == rho.inverse().is_injective()
 
-    @given(relations_st)
-    def test_injectivity_criterion(self, rho):
-        identity = Relation.identity_on(rho.domain)
-        assert rho.is_injective() == (rho.inverse().compose(rho) == identity)
-
-    @given(relations_st)
-    def test_coinjectivity_criterion(self, rho):
-        identity = Relation.identity_on(rho.range)
-        assert rho.is_coinjective() == (rho.compose(rho.inverse()) == identity)
-
-    @given(partial_bijections_st, partial_bijections_st)
-    def test_subalgebra_closure(self, rho, sigma):
-        composed = rho.compose(sigma)
-        assert composed.is_injective() and composed.is_coinjective()
-        inverted = rho.inverse()
-        assert inverted.is_injective() and inverted.is_coinjective()
 
 
 class TestSubrelation:
