@@ -309,11 +309,15 @@ def cases():
 
 def run_main(argv, data):
     """``cli.main(argv)`` in-process with ``data`` bytes on a strict-UTF-8
-    stdin: (exit code, stdout, stderr), argparse's exits taken as codes."""
+    stdin, or ``data`` text on an ``io.StringIO`` with no bytes under it:
+    (exit code, stdout, stderr), argparse's exits taken as codes."""
     from sincov.cli import main
 
     out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
-    sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    if isinstance(data, str):
+        sys.stdin = io.StringIO(data)
+    else:
+        sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:

@@ -19,7 +19,6 @@ import sincov.systems
 from corpus import run_child, run_main
 from genutil import atlases_st, corrupted_atlases_st, raw_atlases_st
 from sincov import Atlas, InvalidAtlas, Relation, jsonio, reconstruct
-from sincov.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
@@ -34,32 +33,14 @@ AXIOMS_FAIL_REPORT = GOLDEN / "axioms_fail.report.json"
 BROKEN_SYMMETRY = '{"indices":["a","b"],"relations":{"a|b":[["1","0"]]}}'
 
 
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def stdin_of(text):
-    # sincov reads the bytes under sys.stdin, so a test's stdin needs a buffer.
-    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
-
-
-def write(tmp_path, name, text):
-    path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
-    return str(path)
-
-
 class TestCheck:
-    def test_valid_system(self, capsys):
-        code, out, _ = run_cli(capsys, "check", str(PAIR_SYSTEM))
+    def test_valid_system(self):
+        code, out, _ = run_main(["check", "-"], PAIR_SYSTEM.read_bytes())
         assert code == 0
         assert json.loads(out) == {"violations": []}
 
-    def test_broken_symmetry(self, capsys, tmp_path):
-        path = write(tmp_path, "bad.json", BROKEN_SYMMETRY)
-        code, out, _ = run_cli(capsys, "check", path)
+    def test_broken_symmetry(self):
+        code, out, _ = run_main(["check", "-"], BROKEN_SYMMETRY.encode())
         assert code == 1
         assert json.loads(out) == {
             "violations": [
@@ -67,24 +48,11 @@ class TestCheck:
             ]
         }
 
-    def test_laws_filter_passes_other_laws(self, capsys, tmp_path):
-        path = write(tmp_path, "bad.json", BROKEN_SYMMETRY)
-        code, out, _ = run_cli(capsys, "check", path, "--laws", "identity,transitivity")
+    def test_laws_filter_passes_other_laws(self):
+        argv = ["check", "-", "--laws", "identity,transitivity"]
+        code, out, _ = run_main(argv, BROKEN_SYMMETRY.encode())
         assert code == 0
         assert json.loads(out) == {"violations": []}
-
-    def test_unknown_law_is_usage_error(self, capsys, tmp_path):
-        path = write(tmp_path, "bad.json", BROKEN_SYMMETRY)
-        with pytest.raises(SystemExit) as excinfo:
-            main(["check", path, "--laws", "gravity"])
-        assert excinfo.value.code == 2
-
-    def test_malformed_json(self, capsys, tmp_path):
-        path = write(tmp_path, "broken.json", "{")
-        code, out, err = run_cli(capsys, "check", path)
-        assert code == 2
-        assert out == ""
-        assert "error" in err
 
     def test_deeply_nested_json(self):
         code, out, err = run_child(["check", "-"], b"[" * 100000 + b"]" * 100000)
@@ -99,16 +67,14 @@ class TestCheck:
         ids=["5000-digit-integer", "non-utf-8"],
     )
     @pytest.mark.parametrize("source", ["path", "stdin"])
-    def test_undecodable_input_is_malformed(self, capsys, monkeypatch, tmp_path, raw, source):
+    def test_undecodable_input_is_malformed(self, tmp_path, raw, source):
         # Written as raw bytes, since json.dumps refuses such an integer.
+        path = tmp_path / "doc.json"
+        path.write_bytes(raw)
         if source == "path":
-            path = tmp_path / "doc.json"
-            path.write_bytes(raw)
-            arg = str(path)
+            code, out, err = run_main(["check", str(path)], b"")
         else:
-            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
-            arg = "-"
-        code, out, err = run_cli(capsys, "check", arg)
+            code, out, err = run_main(["check", "-"], raw)
         assert code == 2
         assert out == ""
         assert err.startswith("sincov: error: ")
@@ -124,62 +90,46 @@ class TestCheck:
         assert err.startswith(b"sincov: error: -: ")
         assert err.count(b"\n") == 1
 
-    def test_wrong_shape(self, capsys, tmp_path):
-        path = write(tmp_path, "shape.json", '{"indices":["a"],"relations":{"a":[]}}')
-        code, _, err = run_cli(capsys, "check", path)
+    def test_missing_file(self, tmp_path):
+        code, _, err = run_main(["check", str(tmp_path / "nope.json")], b"")
         assert code == 2
         assert "error" in err
 
-    def test_missing_file(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "check", str(tmp_path / "nope.json"))
-        assert code == 2
-        assert "error" in err
-
-    def test_stdin_dash(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", stdin_of(PAIR_SYSTEM.read_text()))
-        code, out, _ = run_cli(capsys, "check", "-")
-        assert code == 0
-        assert json.loads(out) == {"violations": []}
-
-    def test_stdin_text_stream(self, capsys, monkeypatch):
+    def test_stdin_text_stream(self):
         # An in-process caller may hand over decoded text with no bytes under it.
-        monkeypatch.setattr(sys, "stdin", io.StringIO(PAIR_SYSTEM.read_text()))
-        code, out, _ = run_cli(capsys, "check", "-")
+        code, out, _ = run_main(["check", "-"], PAIR_SYSTEM.read_text())
         assert (code, json.loads(out)) == (0, {"violations": []})
 
 
 class TestSolve:
-    def test_all_empty_system(self, capsys, tmp_path):
-        path = write(tmp_path, "empty.json", '{"indices":["a"],"relations":{}}')
-        code, out, _ = run_cli(capsys, "solve", path)
+    def test_all_empty_system(self):
+        code, out, _ = run_main(["solve", "-"], b'{"indices":["a"],"relations":{}}')
         assert code == 0
         assert out == '{"charts":{"a":[]}}\n'
 
-    def test_violating_system_reports(self, capsys, tmp_path):
-        path = write(tmp_path, "bad.json", BROKEN_SYMMETRY)
-        check_code, check_out, _ = run_cli(capsys, "check", path)
+    def test_violating_system_reports(self):
+        data = BROKEN_SYMMETRY.encode()
+        check_code, check_out, _ = run_main(["check", "-"], data)
         assert check_code == 1
         assert json.loads(check_out)["violations"]
         for extra in ([], ["--gamma", "a"]):
-            code, out, _ = run_cli(capsys, "solve", path, *extra)
+            code, out, _ = run_main(["solve", "-", *extra], data)
             assert code == 1
             assert out == check_out
 
-    def test_unknown_gamma_wins_over_violations(self, capsys, tmp_path):
-        path = write(tmp_path, "bad.json", BROKEN_SYMMETRY)
-        code, out, err = run_cli(capsys, "solve", path, "--gamma", "zz")
+    def test_unknown_gamma_wins_over_violations(self):
+        code, out, err = run_main(["solve", "-", "--gamma", "zz"], BROKEN_SYMMETRY.encode())
         assert code == 2
         assert out == ""
         assert "unknown index" in err
 
-    def test_gamma_group_case(self, capsys, tmp_path):
+    def test_gamma_group_case(self):
         swap = (
-            '{"indices":["a","b"],"relations":{'
-            '"a|a":[["0","0"],["1","1"]],"b|b":[["0","0"],["1","1"]],'
-            '"a|b":[["0","1"],["1","0"]],"b|a":[["0","1"],["1","0"]]}}'
+            b'{"indices":["a","b"],"relations":{'
+            b'"a|a":[["0","0"],["1","1"]],"b|b":[["0","0"],["1","1"]],'
+            b'"a|b":[["0","1"],["1","0"]],"b|a":[["0","1"],["1","0"]]}}'
         )
-        path = write(tmp_path, "swap.json", swap)
-        code, out, _ = run_cli(capsys, "solve", path, "--gamma", "a")
+        code, out, _ = run_main(["solve", "-", "--gamma", "a"], swap)
         assert code == 0
         assert json.loads(out) == {
             "charts": {
@@ -188,32 +138,19 @@ class TestSolve:
             }
         }
 
-    def test_gamma_strict_containment(self, capsys, tmp_path):
-        strict = '{"indices":["a","b"],"relations":{"a|a":[["0","0"],["1","1"]]}}'
-        path = write(tmp_path, "strict.json", strict)
-        code, out, _ = run_cli(capsys, "solve", path, "--gamma", "b")
+    def test_gamma_strict_containment(self):
+        strict = b'{"indices":["a","b"],"relations":{"a|a":[["0","0"],["1","1"]]}}'
+        code, out, _ = run_main(["solve", "-", "--gamma", "b"], strict)
         assert code == 1
         assert json.loads(out) == {
             "error": "equality-case-violated",
             "witness": ["a", "b", "a"],
         }
 
-    def test_gamma_unknown_index(self, capsys):
-        code, out, err = run_cli(capsys, "solve", str(PAIR_SYSTEM), "--gamma", "zz")
-        assert code == 2
-        assert out == ""
-        assert "unknown index" in err
-
 
 class TestReconstruct:
-    def test_round_trip_with_solve(self, capsys):
-        code, out, _ = run_cli(capsys, "reconstruct", str(PAIR_ATLAS))
-        assert code == 0
-        assert out == PAIR_SYSTEM.read_text()
-
-    def test_invalid_atlas(self, capsys, tmp_path):
-        path = write(tmp_path, "bad.json", '{"charts":{"a":[["z","0"],["z","1"]]}}')
-        code, out, _ = run_cli(capsys, "reconstruct", path)
+    def test_invalid_atlas(self):
+        code, out, _ = run_main(["reconstruct", "-"], b'{"charts":{"a":[["z","0"],["z","1"]]}}')
         assert code == 1
         assert json.loads(out) == {
             "chart_violations": [
@@ -229,7 +166,7 @@ class TestReconstruct:
         ],
         ids=["valid", "invalid"],
     )
-    def test_validates_atlas_once(self, capsys, monkeypatch, tmp_path, text, expected):
+    def test_validates_atlas_once(self, monkeypatch, text, expected):
         calls = []
         validate_atlas = sincov.atlas.validate_atlas
 
@@ -239,7 +176,7 @@ class TestReconstruct:
 
         for module in (sincov.atlas, sincov.systems, sincov.cli):
             monkeypatch.setattr(module, "validate_atlas", counted)
-        code, out, _ = run_cli(capsys, "reconstruct", write(tmp_path, "atlas.json", text))
+        code, out, _ = run_main(["reconstruct", "-"], text.encode())
         assert (code, len(calls)) == (expected, 1)
         if expected:
             assert len(json.loads(out)["chart_violations"]) == 2
@@ -278,31 +215,28 @@ class TestReconstruct:
 
 
 class TestIso:
-    def test_self_is_identity(self, capsys):
-        code, out, _ = run_cli(capsys, "iso", str(PAIR_ATLAS), str(PAIR_ATLAS))
+    def test_self_is_identity(self):
+        code, out, _ = run_main(["iso", "-", str(PAIR_ATLAS)], PAIR_ATLAS.read_bytes())
         assert code == 0
         assert json.loads(out) == {"omega": [["cls:a:0", "cls:a:0"]]}
 
-    def test_repeated_dash_names_one_document(self, capsys, monkeypatch):
+    def test_repeated_dash_names_one_document(self):
         # Stdin is read once per call, and every "-" is that document.
-        documents = ((PAIR_ATLAS.read_text(), "cls:a:0"), ('{"charts":{"a":[["z","0"]]}}', "z"))
-        for text, point in documents:
-            monkeypatch.setattr(sys, "stdin", stdin_of(text))
-            code, out, err = run_cli(capsys, "iso", "-", "-")
+        documents = ((PAIR_ATLAS.read_bytes(), "cls:a:0"), (b'{"charts":{"a":[["z","0"]]}}', "z"))
+        for data, point in documents:
+            code, out, err = run_main(["iso", "-", "-"], data)
             assert (code, json.loads(out), err) == (0, {"omega": [[point, point]]}, "")
 
-    def test_not_isomorphic(self, capsys, tmp_path):
-        other = write(tmp_path, "other.json", '{"charts":{"a":[],"b":[]}}')
-        code, out, _ = run_cli(capsys, "iso", str(PAIR_ATLAS), other)
+    def test_not_isomorphic(self):
+        code, out, _ = run_main(["iso", str(PAIR_ATLAS), "-"], b'{"charts":{"a":[],"b":[]}}')
         assert code == 1
         payload = json.loads(out)
         assert payload["error"] == "not-isomorphic"
         assert payload["reason"] == "missing_counterpart"
         assert payload["present_in"] == 1
 
-    def test_index_mismatch(self, capsys, tmp_path):
-        other = write(tmp_path, "other.json", '{"charts":{"q":[]}}')
-        code, out, _ = run_cli(capsys, "iso", str(PAIR_ATLAS), other)
+    def test_index_mismatch(self):
+        code, out, _ = run_main(["iso", str(PAIR_ATLAS), "-"], b'{"charts":{"q":[]}}')
         assert code == 1
         assert json.loads(out) == {
             "error": "index-mismatch",
@@ -310,9 +244,9 @@ class TestIso:
             "only_in_second": ["q"],
         }
 
-    def test_invalid_atlas(self, capsys, tmp_path):
-        bad = write(tmp_path, "bad.json", '{"charts":{"a":[["z","0"],["w","0"]],"b":[]}}')
-        code, out, _ = run_cli(capsys, "iso", bad, str(PAIR_ATLAS))
+    def test_invalid_atlas(self):
+        bad = b'{"charts":{"a":[["z","0"],["w","0"]],"b":[]}}'
+        code, out, _ = run_main(["iso", "-", str(PAIR_ATLAS)], bad)
         assert code == 1
         payload = json.loads(out)
         assert payload["error"] == "invalid-atlas"
@@ -320,46 +254,25 @@ class TestIso:
 
 
 class TestAxioms:
-    def test_failing_atlas(self, capsys, tmp_path):
-        path = write(tmp_path, "bad.json", '{"charts":{"a":[["z","0"],["z","1"]]}}')
-        code, out, _ = run_cli(capsys, "axioms", path)
+    def test_failing_atlas(self):
+        code, out, _ = run_main(["axioms", "-"], b'{"charts":{"a":[["z","0"],["z","1"]]}}')
         assert code == 1
         report = json.loads(out)
         assert report["at2"]["pass"] is False
 
-    def test_failing_golden(self, capsys):
+    def test_failing_golden(self):
         # Valid charts sharing points with a non-injective and a
         # non-co-injective chart: at3 fails exactly in the bad rows/columns.
-        code, out, _ = run_cli(capsys, "axioms", str(AXIOMS_FAIL_ATLAS))
+        code, out, _ = run_main(["axioms", "-"], AXIOMS_FAIL_ATLAS.read_bytes())
         assert code == 1
         assert out == AXIOMS_FAIL_REPORT.read_text()
 
 
 class TestFlowGen:
-    def test_fractional_time_for_doubling(self, capsys, tmp_path):
-        path = write(
-            tmp_path,
-            "flow.json",
-            '{"kind":"doubling","grid":["0","1/2"],"seeds":[]}',
-        )
-        code, out, err = run_cli(capsys, "flow-gen", path)
-        assert code == 2
-        assert "integer times" in err
-
-    def test_seed_off_grid(self, capsys, tmp_path):
-        path = write(
-            tmp_path,
-            "flow.json",
-            '{"kind":"translation","grid":["0"],"seeds":[{"t":"1","x":"0"}]}',
-        )
-        code, _, err = run_cli(capsys, "flow-gen", path)
-        assert code == 2
-        assert "grid" in err
-
     @pytest.mark.parametrize("kind", [[], {}, None, 3])
-    def test_non_string_kind(self, capsys, tmp_path, kind):
+    def test_non_string_kind(self, kind):
         flow = json.dumps({"kind": kind, "grid": ["0"], "seeds": []})
-        code, out, err = run_cli(capsys, "flow-gen", write(tmp_path, "flow.json", flow))
+        code, out, err = run_main(["flow-gen", "-"], flow.encode())
         assert code == 2
         assert out == ""
         assert err.startswith("sincov: error: kind must be one of [")
@@ -431,7 +344,7 @@ class TestFuzz:
 
 
 class TestCollector:
-    def test_off_while_the_handler_runs(self, capsys, monkeypatch):
+    def test_off_while_the_handler_runs(self, monkeypatch):
         seen = []
 
         def recording(atlas):
@@ -440,34 +353,33 @@ class TestCollector:
 
         monkeypatch.setattr(sincov.cli, "validate_atlas", recording)
         assert gc.isenabled()
-        code, out, _ = run_cli(capsys, "reconstruct", str(PAIR_ATLAS))
+        code, out, _ = run_main(["reconstruct", "-"], PAIR_ATLAS.read_bytes())
         assert (code, seen) == (0, [False])
         assert out == PAIR_SYSTEM.read_text()
 
-    def test_main_freezes_nothing(self, capsys):
+    def test_main_freezes_nothing(self):
         # main, the in-process API, leaves the caller's heap unfrozen.
         frozen = gc.get_freeze_count()
-        assert run_cli(capsys, "check", str(PAIR_SYSTEM))[0] == 0
+        assert run_main(["check", "-"], PAIR_SYSTEM.read_bytes())[0] == 0
         assert gc.get_freeze_count() == frozen
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     @pytest.mark.parametrize(
-        "argv, expected",
+        "argv, data, expected",
         [
-            (["check", str(PAIR_SYSTEM)], 0),
-            (["check", str(GOLDEN / "nope.json")], 2),
-            (["axioms", str(AXIOMS_FAIL_ATLAS)], 1),
+            (["check", "-"], PAIR_SYSTEM.read_bytes(), 0),
+            (["check", "-"], b"{", 2),
+            (["axioms", "-"], AXIOMS_FAIL_ATLAS.read_bytes(), 1),
         ],
         ids=["success", "exit-2", "exit-1"],
     )
-    def test_caller_state_comes_back(self, capsys, argv, expected, enabled):
+    def test_caller_state_comes_back(self, argv, data, expected, enabled):
         (gc.enable if enabled else gc.disable)()
         try:
-            code = main(argv)
+            code = run_main(argv, data)[0]
             assert gc.isenabled() is enabled
         finally:
             gc.enable()
-        capsys.readouterr()
         assert code == expected
 
 
@@ -503,9 +415,9 @@ class TestStandIns:
 
 
 class TestOutputModes:
-    def test_pretty_same_payload(self, capsys):
-        _, canonical, _ = run_cli(capsys, "solve", str(PAIR_SYSTEM))
-        _, pretty, _ = run_cli(capsys, "solve", str(PAIR_SYSTEM), "--pretty")
+    def test_pretty_same_payload(self):
+        _, canonical, _ = run_main(["solve", "-"], PAIR_SYSTEM.read_bytes())
+        _, pretty, _ = run_main(["solve", "-", "--pretty"], PAIR_SYSTEM.read_bytes())
         assert pretty != canonical
         assert "\n  " in pretty
         assert json.loads(pretty) == json.loads(canonical)
@@ -707,7 +619,10 @@ class TestSubprocessEntryPoints:
         got = (status, out.decode(), err.decode())
         assert got == main_via(sincov.cli._read_argv, argv, text)
         assert got[0] == code
-        assert got[1 if code == 1 else 2]  # the payload, or the error text
+        if code == 1:  # the payload alone
+            assert got[1] and got[2] == ""
+        else:  # the error text alone
+            assert ": error: " in got[2] and got[1] == ""
 
     def test_large_output_reaches_the_pipe_whole(self):
         # A 1 000-point atlas whose generated system is 2.6 MB of text, far more
@@ -766,10 +681,11 @@ class TestSubprocessEntryPoints:
             "grid": [f"{i}/4" for i in range(30)],
             "seeds": [{"t": "0", "x": f"{k}/7"} for k in range(-5, 6)],
         }
-        path = write(tmp_path, "flow.json", json.dumps(flow))
+        path = tmp_path / "flow.json"
+        path.write_text(json.dumps(flow))
         with open(tmp_path / "stderr", "wb") as err:
             proc = subprocess.Popen(
-                [sys.executable, "-m", "sincov", "flow-gen", path],
+                [sys.executable, "-m", "sincov", "flow-gen", str(path)],
                 stdout=subprocess.PIPE,
                 stderr=err,
             )
