@@ -18,7 +18,10 @@ Formats:
   empty charts kept.
 * isomorphism: ``{"omega": [[z, zbar], ...]}``.
 * flow descriptor: ``{"kind": "...", "grid": [...], "seeds": [{"t": ...,
-  "x": ...}], "permutation": {...}?}`` with rationals written "p/q".
+  "x": ...}], "permutation": {...}?}`` with rationals written "p/q".  A
+  rational reads as a sign and digits, then ``/digits`` or a decimal part
+  and exponent (``"-3/6"``, ``"1.5e3"``), each part optional as Python
+  3.10's Fraction has it: no ``_`` and no whitespace inside, on any version.
 """
 
 from __future__ import annotations
@@ -207,6 +210,9 @@ def _rational(text, what) -> Fraction:
 
     _require(isinstance(text, str), "{} must be a rational string like '1/2'", what)
     try:
+        # Python 3.10's grammar: 3.11's Fraction also takes "1_0", and 3.12's "1 / 2".
+        if "_" in text or len(text.split()) > 1:
+            raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise FormatError(f"{what} is not a valid rational: {text!r}") from None

@@ -265,6 +265,8 @@ def documents():
     flow("fractional-discrete", "doubling", "0 1/2", [])
     flow("outside-permutation", "permutation", "0", ["0:q"], permutation={"a": "a"})
     flow("bad-rational", "translation", "x", [])
+    flow("underscore-rational", "translation", "1_0", [])  # 10 on Python 3.11 and later
+    flow("spaced-slash", "translation", "0", ["0:1 / 2"])  # 1/2 on Python 3.12 and later
     flow("unknown-kind", "spiral", "0")
     flow("non-bijective-table", "permutation", "0", permutation={"a": "b"})
 

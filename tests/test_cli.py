@@ -316,10 +316,14 @@ FUZZ_DOCUMENTS = [
 FUZZ_FIELDS = [(argv, doc, path) for argv, doc in FUZZ_DOCUMENTS for path in _field_paths(doc)]
 FLOW_KIND = next(f for f in FUZZ_FIELDS if f[0][0] == "flow-gen" and f[2] == ("kind",))
 json_scalars = st.none() | st.booleans() | st.integers() | st.text()
+
+
+def json_containers(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4)
+
+
 json_values = st.recursive(
-    json_scalars | st.floats(allow_nan=False, allow_infinity=False),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
-    max_leaves=12,
+    json_scalars | st.floats(allow_nan=False, allow_infinity=False), json_containers, max_leaves=12
 )
 
 

@@ -315,6 +315,12 @@ class TestFlowFormat:
             },
             "permutation seed values must be strings",
         ),
+        # Python 3.11's Fraction reads "1_0" as 10, and 3.12's "1 / 2" as 1/2.
+        ({"kind": "translation", "grid": ["1_0"]}, "grid time is not a valid rational: '1_0'"),
+        (
+            {"kind": "translation", "grid": ["0"], "seeds": [{"t": "0", "x": "1 / 2"}]},
+            "seed value is not a valid rational: '1 / 2'",
+        ),
     )
     def test_malformed(self, bad, message):
         with pytest.raises(FormatError) as excinfo:
