@@ -21,12 +21,17 @@ Formats:
   "x": ...}], "permutation": {...}?}`` with rationals written "p/q".  A
   rational reads as a sign and digits, then ``/digits`` or a decimal part
   and exponent (``"-3/6"``, ``"1.5e3"``), each part optional as Python
-  3.10's Fraction has it: no ``_`` and no whitespace inside, on any version.
+  3.10's Fraction has it: ASCII digits only, and no ``_`` and no whitespace
+  inside, on any version.  Under the integer digit limit L that
+  ``PYTHONINTMAXSTRDIGITS`` sets, one with a non-zero digit and |exponent|
+  >= 4L is refused, as it would print over L digits; all-zero digits read 0.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
@@ -36,6 +41,11 @@ from .errors import FormatError
 from .relations import Relation
 
 KEY_SEPARATOR = "|"
+# Python 3.10's Fraction grammar, read with re.ASCII; compiled by the first rational read.
+_RATIONAL = (
+    r"[\t-\r\x1c- ]*[-+]?(?=\.?\d)(?P<num>\d*)"
+    r"(?:/\d+|(?:\.(?P<decimal>\d*))?(?:[eE](?P<exp>[-+]?\d+))?)[\t-\r\x1c- ]*"
+)
 
 
 class GeneratedSystem:
@@ -210,9 +220,17 @@ def _rational(text, what) -> Fraction:
 
     _require(isinstance(text, str), "{} must be a rational string like '1/2'", what)
     try:
-        # Python 3.10's grammar: 3.11's Fraction also takes "1_0", and 3.12's "1 / 2".
-        if "_" in text or len(text.split()) > 1:
+        # Fraction also takes Unicode digits and spaces, 3.11's "1_0" and 3.12's "1 / 2".
+        match = re.fullmatch(_RATIONAL, text, re.ASCII)
+        if match is None:
             raise ValueError
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+        if limit and match["exp"]:
+            exp = int(match["exp"])  # each int() refuses over L digits, as Fraction's do
+            if not (int(match["num"] or 0) or int(match["decimal"] or 0)):
+                return Fraction(0)  # with no power of ten computed
+            if abs(exp) >= 4 * limit:  # a numerator or denominator over L digits
+                raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise FormatError(f"{what} is not a valid rational: {text!r}") from None

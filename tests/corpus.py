@@ -267,6 +267,8 @@ def documents():
     flow("bad-rational", "translation", "x", [])
     flow("underscore-rational", "translation", "1_0", [])  # 10 on Python 3.11 and later
     flow("spaced-slash", "translation", "0", ["0:1 / 2"])  # 1/2 on Python 3.12 and later
+    flow("unicode-digits", "translation", "\u0661/\u0662")  # 1/2 by Fraction's grammar
+    flow("huge-exponent", "translation", "1e10000000")  # refused before 10**10000000 is built
     flow("unknown-kind", "spiral", "0")
     flow("non-bijective-table", "permutation", "0", permutation={"a": "b"})
 

@@ -1,12 +1,18 @@
 """Shared generators and oracles for the test suite.
 
-Two flavors live here side by side: `random.Random`-driven generators for
-the big seeded acceptance loops, and hypothesis strategies for the law
-tests.  Valid systems are always produced by reconstructing a random
-atlas (optionally thinned), which is the one construction guaranteed to
-satisfy all three laws.  The definitional loops live here too, as the
-oracles that the library's quotient certificate, its one-pass atlas
-transitions and its flow sampling are checked against.
+Every input family that ``corpus.py`` also builds is drawn through its
+builders: random charts, and the system they generate by the definition
+Phi[alpha, beta] = chart_alpha o chart_beta^-1, without sincov, so no
+input is made by the code under test.  The seeded acceptance loops hand
+the builders a ``random.Random``, and the hypothesis strategies hand them
+``st.randoms(use_true_random=False)``, whose draws Hypothesis shrinks;
+``atlas_of`` and ``system_of`` turn their charts and system documents into
+sincov values.  Inputs with no corpus twin (arbitrary relations, raw
+charts, dense faulty classes, wire documents) keep their own draws, as
+does ``mutate_atlas``, whose edit always changes the reconstruction.  The
+definitional loops live here too, as the oracles that the library's
+quotient certificate, its one-pass atlas transitions and its flow sampling
+are checked against.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+from corpus import corrupted, generated, mutated, random_charts, thinned
 from hypothesis import strategies as st
 
 from sincov import (
@@ -30,7 +37,6 @@ from sincov import (
     SincovSystem,
     ViolationReport,
     carrier,
-    reconstruct,
     transition,
     validate_atlas,
 )
@@ -40,39 +46,33 @@ INDEX_POOL = ["a", "b", "c", "d", "e", "f"]
 ELEMENT_POOL = [str(i) for i in range(12)]
 
 
+def atlas_of(charts) -> Atlas:
+    """Corpus charts ``{index: [(point, element), ...]}`` as an ``Atlas``."""
+    return Atlas({alpha: Relation(chart) for alpha, chart in charts.items()})
+
+
+def system_of(doc) -> SincovSystem:
+    """A corpus system document as a ``SincovSystem``."""
+    relations = {tuple(key.split("|")): Relation(pairs) for key, pairs in doc["relations"].items()}
+    return SincovSystem(doc["indices"], relations)
+
+
 # ----------------------------------------------------------- random.Random
 
 
 def random_atlas(rng: random.Random, max_indices=6, max_points=6, max_elements=12):
     indices = INDEX_POOL[: rng.randint(1, max_indices)]
     points = [f"z{i}" for i in range(rng.randint(0, max_points))]
-    elements = ELEMENT_POOL[:max_elements]
-    charts = {}
-    for alpha in indices:
-        size = rng.randint(0, min(len(points), len(elements)))
-        charts[alpha] = Relation(
-            zip(rng.sample(points, size), rng.sample(elements, size))
-        )
-    return Atlas(charts)
-
-
-def thin_atlas(rng: random.Random, atlas: Atlas, keep=0.75) -> Atlas:
-    """Drop random chart pairs.  Sub-atlases stay valid, and reconstructing
-    one deletes system pairs in a law-consistent way.  The pairs are drawn
-    in sorted order, so a seeded rng thins alike under every hash seed."""
-    return Atlas(
-        {
-            alpha: Relation(p for p in sorted(rel.pairs) if rng.random() < keep)
-            for alpha, rel in atlas.charts.items()
-        }
-    )
+    return atlas_of(random_charts(rng, indices, points, ELEMENT_POOL[:max_elements]))
 
 
 def random_valid_system(rng: random.Random, thin=False, **kwargs) -> SincovSystem:
+    """The system a ``random_atlas`` generates.  ``thin`` first drops each
+    chart pair with probability 1/4 (the atlas stays valid), drawn in sorted
+    order, so a seeded rng thins alike under every hash seed."""
     atlas = random_atlas(rng, **kwargs)
-    if thin:
-        atlas = thin_atlas(rng, atlas)
-    return reconstruct(atlas)
+    charts = {alpha: sorted(rel.pairs) for alpha, rel in atlas.charts.items()}
+    return system_of(generated(thinned(rng, charts, keep=0.75) if thin else charts))
 
 
 def random_relation(rng: random.Random, max_pairs=30, universe=10) -> Relation:
@@ -98,11 +98,11 @@ def random_carrier_bijection(rng: random.Random, points) -> Relation:
 
 
 def rename_carrier(atlas: Atlas, omega: Relation) -> Atlas:
-    """Replace every carrier point z by omega(z); charts become
-    chart o omega^-1, so reconstruct is unchanged and omega is the unique
-    isomorphism from `atlas` to the result."""
-    inverse = omega.inverse()
-    return Atlas({alpha: rel.compose(inverse) for alpha, rel in atlas.charts.items()})
+    """Replace every carrier point z by omega(z): reconstruct is unchanged,
+    and omega is the unique isomorphism from `atlas` to the result."""
+    to = dict(omega.pairs)
+    charts = atlas.charts.items()
+    return Atlas({alpha: Relation((to[z], a) for z, a in rel.pairs) for alpha, rel in charts})
 
 
 def mutate_atlas(rng: random.Random, atlas: Atlas) -> Atlas:
@@ -175,27 +175,19 @@ good pairs mixed with wrong-length arrays, non-strings, non-arrays and
 ``str``/``list`` subclasses."""
 
 
-@st.composite
-def atlases_st(draw):
-    indices = draw(
-        st.lists(st.sampled_from(INDEX_POOL), min_size=1, max_size=4, unique=True)
-    )
-    point_count = draw(st.integers(min_value=0, max_value=6))
-    points = [f"z{i}" for i in range(point_count)]
-    charts = {}
-    for alpha in indices:
-        if points:
-            pairs = draw(
-                st.lists(
-                    st.tuples(st.sampled_from(points), st.sampled_from(ELEMENT_POOL)),
-                    unique_by=(lambda p: p[0], lambda p: p[1]),
-                    max_size=len(points),
-                )
-            )
-        else:
-            pairs = []
-        charts[alpha] = Relation(pairs)
-    return Atlas(charts)
+_rngs = st.randoms(use_true_random=False)
+
+
+def _drawn_charts(rng) -> dict:
+    """Charts over one to four indices of INDEX_POOL, in any order, and up
+    to six points."""
+    indices = rng.sample(INDEX_POOL, rng.randint(1, 4))
+    points = [f"z{i}" for i in range(rng.randint(0, 6))]
+    return random_charts(rng, indices, points, ELEMENT_POOL)
+
+
+def atlases_st():
+    return _rngs.map(lambda rng: atlas_of(_drawn_charts(rng)))
 
 
 @st.composite
@@ -209,49 +201,22 @@ def raw_atlases_st(draw):
     return Atlas({alpha: Relation(draw(st.lists(pairs, max_size=5))) for alpha in indices})
 
 
-@st.composite
-def corrupted_atlases_st(draw):
-    """A valid atlas with one or two charts made non-bijective: each gets
-    one point sent to two elements, or two points sent to one element.  The
-    untouched charts keep their (often non-empty) transitions beside the
-    corrupted charts' rows and columns."""
-    charts = dict(draw(atlases_st()).charts)
-    points = st.sampled_from([f"z{i}" for i in range(6)])
-    elements = st.sampled_from(ELEMENT_POOL)
-    corrupted = st.lists(st.sampled_from(sorted(charts)), min_size=1, max_size=2, unique=True)
-    for alpha in draw(corrupted):
-        if draw(st.booleans()):
-            z = draw(points)
-            extra = {(z, a) for a in draw(st.lists(elements, min_size=2, max_size=2, unique=True))}
-        else:
-            a = draw(elements)
-            extra = {(z, a) for z in draw(st.lists(points, min_size=2, max_size=2, unique=True))}
-        charts[alpha] = Relation(charts[alpha].pairs | extra)
-    return Atlas(charts)
+def corrupted_atlases_st():
+    """A valid atlas with one chart made non-bijective: a point sent to a
+    second element, or a second point sent to an element.  The untouched
+    charts keep their (often non-empty) transitions beside the corrupted
+    chart's row and column."""
+    return _rngs.map(lambda rng: atlas_of(corrupted(rng, _drawn_charts(rng))))
 
 
-valid_systems_st = atlases_st().map(reconstruct)
+valid_systems_st = _rngs.map(lambda rng: system_of(generated(_drawn_charts(rng))))
 
 
-@st.composite
-def mutated_systems_st(draw):
+def mutated_systems_st():
     """A valid system with one to three pairs dropped or added; mostly
     unlawful, sometimes (a redundant addition, a lone loop dropped) not.
     Edits far apart leave several faulty classes beside lawful ones."""
-    system = draw(valid_systems_st)
-    relations = dict(system.relations)
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        pairs = sorted((key, pair) for key, rel in relations.items() for pair in rel.pairs)
-        if pairs and draw(st.booleans()):
-            key, pair = draw(st.sampled_from(pairs))
-            relations[key] = Relation(relations[key].pairs - {pair})
-        else:
-            index = st.sampled_from(sorted(system.indices))
-            element = st.sampled_from(ELEMENT_POOL)
-            key = draw(st.tuples(index, index))
-            pair = draw(st.tuples(element, element))
-            relations[key] = Relation(relations.get(key, Relation()).pairs | {pair})
-    return SincovSystem(system.indices, relations)
+    return _rngs.map(lambda rng: system_of(mutated(rng, generated(_drawn_charts(rng)))))
 
 
 @st.composite
@@ -429,20 +394,13 @@ def oracle_flow(spec, tau, alpha, a):
 
 
 def oracle_build_system(spec, time_grid, seeds) -> SincovSystem:
-    """``build_system`` on valid input by the definitional comprehension:
-    for every trajectory and every ordered grid pair (t_out, t_in) at which
-    it is defined, Phi[t_out, t_in] gains (value at t_in, value at t_out)."""
+    """``build_system`` on valid input by the definition: a chart per grid
+    time, sending each seed's trajectory to its value there wherever it is
+    defined, and the system those charts generate."""
     grid = sorted({Fraction(t) for t in time_grid})
     trajectories = [[oracle_flow(spec, t, seed.time, seed.value) for t in grid] for seed in seeds]
-    return SincovSystem(
-        grid,
-        {
-            (t_out, t_in): Relation(
-                (traj[j], traj[i])
-                for traj in trajectories
-                if traj[i] is not None and traj[j] is not None
-            )
-            for i, t_out in enumerate(grid)
-            for j, t_in in enumerate(grid)
-        },
-    )
+    charts = {
+        t: [(z, traj[i]) for z, traj in enumerate(trajectories) if traj[i] is not None]
+        for i, t in enumerate(grid)
+    }
+    return system_of(generated(charts))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genutil import (
     Label,
@@ -266,12 +267,38 @@ class TestFlowFormat:
         _, grid, _ = flow_from_obj({"kind": "translation", "grid": ["-3/6", "2"]})
         assert grid == [Fraction(-1, 2), Fraction(2)]
 
+    # Python 3.10's grammar over ASCII, with no "_" and no inner whitespace;
+    # exponents stay far below the bound that the digit limit sets.
+    @given(
+        st.from_regex(
+            r"[\t-\r\x1c- ]*[-+]?[0-9]*(/[0-9]*|(\.[0-9]*)?([eE][-+]?[0-9]{0,3})?)[\t-\r\x1c- ]*",
+            fullmatch=True,
+        )
+    )
+    @settings(max_examples=300)
+    def test_ascii_rationals_read_as_fraction(self, text):
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(FormatError):
+                flow_from_obj({"kind": "translation", "grid": [text]})
+        else:
+            assert flow_from_obj({"kind": "translation", "grid": [text]})[1] == [expected]
+
+    def test_zero_mantissa_reads_as_zero_at_any_exponent(self):
+        # No power of ten is computed: 10**99999999 alone takes seconds.
+        _, grid, _ = flow_from_obj({"kind": "translation", "grid": ["0e99999999"]})
+        assert grid == [Fraction(0)]
+        with pytest.raises(FormatError):  # an exponent over the digit limit, as in Fraction
+            flow_from_obj({"kind": "translation", "grid": ["0e" + "9" * 5000]})
+
     KIND = "kind must be one of ['blowup', 'doubling', 'permutation', 'translation']"
     NEEDS_GRID = "flow descriptor needs a non-empty 'grid'"
     SEED_SHAPE = "each seed must be an object with keys 't' and 'x'"
     NEEDS_TABLE = "permutation kind needs a 'permutation' table"
     TABLE_STRINGS = "permutation table entries must be strings"
     SEED_X = "seed value is not a valid rational: 'x'"
+    GRID = "grid time is not a valid rational:"
 
     @malformed_cases(
         ([], "flow descriptor must be an object"),
@@ -320,6 +347,15 @@ class TestFlowFormat:
         (
             {"kind": "translation", "grid": ["0"], "seeds": [{"t": "0", "x": "1 / 2"}]},
             "seed value is not a valid rational: '1 / 2'",
+        ),
+        # Fraction reads any Unicode digit and whitespace: these were 1/2 and 1.
+        ({"kind": "translation", "grid": ["\u0661/\u0662"]}, f"{GRID} '\u0661/\u0662'"),
+        ({"kind": "translation", "grid": ["\u00a01"]}, f"{GRID} '\\xa01'"),
+        # |exponent| >= 4 x the digit limit (4300): too many digits to print.
+        ({"kind": "translation", "grid": ["1e17200"]}, f"{GRID} '1e17200'"),
+        (
+            {"kind": "translation", "grid": ["0"], "seeds": [{"t": "0", "x": "-2.5e-99999"}]},
+            "seed value is not a valid rational: '-2.5e-99999'",
         ),
     )
     def test_malformed(self, bad, message):
