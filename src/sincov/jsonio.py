@@ -23,8 +23,9 @@ Formats:
   and exponent (``"-3/6"``, ``"1.5e3"``), each part optional as Python
   3.10's Fraction has it: ASCII digits only, and no ``_`` and no whitespace
   inside, on any version.  Under the integer digit limit L that
-  ``PYTHONINTMAXSTRDIGITS`` sets, one with a non-zero digit and |exponent|
-  >= 4L is refused, as it would print over L digits; all-zero digits read 0.
+  ``PYTHONINTMAXSTRDIGITS`` sets, one whose numerator or denominator has
+  over L digits is refused, before it is built if it has a non-zero digit
+  and |exponent| >= 4L; all-zero digits read 0.
 """
 
 from __future__ import annotations
@@ -231,7 +232,9 @@ def _rational(text, what) -> Fraction:
                 return Fraction(0)  # with no power of ten computed
             if abs(exp) >= 4 * limit:  # a numerator or denominator over L digits
                 raise ValueError
-        return Fraction(text)
+        value = Fraction(text)
+        str(value)  # under the limit, a part over L digits cannot print: ValueError
+        return value
     except (ValueError, ZeroDivisionError):
         raise FormatError(f"{what} is not a valid rational: {text!r}") from None
 

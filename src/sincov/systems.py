@@ -9,13 +9,13 @@ under test are the Sincov-type inequalities
     identity:      Phi[a,a]             is contained in  the identity
 
 A system obeys them iff an atlas of partial bijections generates it.
-``_quotient`` is the one mechanism behind that.  It numbers every node
-(index, element) once, reads each relation's pairs once into int edges,
-and labels every node with its class; an edge whose two ends carry
-different labels merges their classes by relabeling the smaller one.
-The classes are the carrier points, ``check_sincov`` reads every
-violation off the faulty ones' successors, and ``solve_atlas`` and
-``solve_via_fixed_index`` (the group case, where all containments are
+``_quotient`` is the one mechanism behind that.  It reads each relation's
+pairs once into int edges, numbering a node (index, element) when a
+relation first names it, and labels every node with its class; an edge
+whose two ends carry different labels merges their classes by relabeling
+the smaller one.  The classes are the carrier points, ``check_sincov``
+reads every violation off the faulty ones' successors, and ``solve_atlas``
+and ``solve_via_fixed_index`` (the group case, where all containments are
 equalities) need there to be none; ``reconstruct`` is the inverse.
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter, defaultdict, namedtuple
-from itertools import chain, compress, count, repeat, starmap
+from itertools import compress, count
 from operator import ne
 
 from .atlas import Atlas, _raise_invalid, _rows, validate_atlas
@@ -92,9 +92,9 @@ class SincovSystem:
 def _quotient(system: SincovSystem):
     """The classes of the nodes, the faulty ones, and the faulty nodes' successors.
 
-    ``number[index][element]`` is k for the node ``nodes[k]``, and each
-    pair (b, a) in Phi[alpha, beta] is read once, into the int edge
-    (beta, b) -> (alpha, a) of ``sources`` and ``targets``.  ``label[k]``
+    Each pair (b, a) in Phi[alpha, beta] is read once, into the int edge
+    (beta, b) -> (alpha, a) of ``sources`` and ``targets``; ``nodes[k]``
+    is numbered k when a relation first names it.  ``label[k]``
     names node k's class by one of its nodes.  Both ends' labels are read
     at C speed, each after every earlier merge, so just the edges that join
     two classes reach Python, and each relabels the smaller class: N nodes
@@ -104,19 +104,17 @@ def _quotient(system: SincovSystem):
     none is faulty, and then the classes are the carrier points of a
     generating atlas.  Edges leaving faulty classes, if any, reach Python again.
     """
-    number, elements = defaultdict(dict), defaultdict(set)
-    heads, tails = [], []  # per relation: (number lookup, elements) at beta, at alpha
+    fresh = count().__next__
+    number = defaultdict(lambda: defaultdict(fresh))
+    sources, targets = [], []
     for (alpha, beta), rel in system.relations.items():
         firsts, seconds = zip(*rel.pairs)
-        elements[beta].update(firsts)
-        elements[alpha].update(seconds)
-        heads.append((number[beta].__getitem__, firsts))
-        tails.append((number[alpha].__getitem__, seconds))
-    nodes = []
-    for index, column in elements.items():
-        number[index].update(zip(column, count(len(nodes))))
-        nodes += zip(repeat(index), column)
-    sources, targets = (list(chain.from_iterable(starmap(map, ends))) for ends in (heads, tails))
+        sources += map(number[beta].__getitem__, firsts)
+        targets += map(number[alpha].__getitem__, seconds)
+    nodes = [None] * fresh()
+    for index, column in number.items():
+        for element, k in column.items():
+            nodes[k] = (index, element)
     label = list(range(len(nodes)))
     merged = {}  # class label -> its node numbers, for classes of two or more
     joins = map(ne, map(label.__getitem__, sources), map(label.__getitem__, targets))

@@ -269,6 +269,7 @@ def documents():
     flow("spaced-slash", "translation", "0", ["0:1 / 2"])  # 1/2 on Python 3.12 and later
     flow("unicode-digits", "translation", "\u0661/\u0662")  # 1/2 by Fraction's grammar
     flow("huge-exponent", "translation", "1e10000000")  # refused before 10**10000000 is built
+    flow("over-limit-seed-time", "translation", "0", ["1e5000:0"])  # over L digits, under 4L
     flow("unknown-kind", "spiral", "0")
     flow("non-bijective-table", "permutation", "0", permutation={"a": "b"})
 

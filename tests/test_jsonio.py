@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -357,11 +358,29 @@ class TestFlowFormat:
             {"kind": "translation", "grid": ["0"], "seeds": [{"t": "0", "x": "-2.5e-99999"}]},
             "seed value is not a valid rational: '-2.5e-99999'",
         ),
+        # Over the digit limit but under 4 x it: refused when read, not when printed.
+        (
+            {"kind": "translation", "grid": ["0"], "seeds": [{"t": "1e5000", "x": "0"}]},
+            "seed time is not a valid rational: '1e5000'",
+        ),
+        ({"kind": "translation", "grid": ["1e4300"]}, f"{GRID} '1e4300'"),
+        (
+            {"kind": "translation", "grid": ["0"], "seeds": [{"t": "0", "x": "-2.5e-4400"}]},
+            "seed value is not a valid rational: '-2.5e-4400'",
+        ),
     )
     def test_malformed(self, bad, message):
         with pytest.raises(FormatError) as excinfo:
             flow_from_obj(bad)
         assert str(excinfo.value) == message
+
+    def test_the_digit_limit_bounds_numerator_and_denominator(self):
+        limit = sys.get_int_max_str_digits()
+        _, grid, _ = flow_from_obj({"kind": "translation", "grid": [f"1e{limit - 1}"]})
+        assert grid == [10 ** (limit - 1)]
+        for text in (f"1e{limit}", f"1e-{limit}"):
+            with pytest.raises(FormatError):
+                flow_from_obj({"kind": "translation", "grid": [text]})
 
 
 class TestCanonical:

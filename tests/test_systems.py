@@ -1,5 +1,6 @@
 import contextlib
 import random
+import tracemalloc
 from collections import Counter
 from itertools import compress
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corpus import generated
 from genutil import (
     ELEMENT_POOL,
     INDEX_POOL,
@@ -16,6 +18,7 @@ from genutil import (
     oracle_violations,
     random_valid_system,
     relabel_system,
+    system_of,
     valid_systems_st,
 )
 from sincov import (
@@ -443,6 +446,8 @@ class TestQuotientAgainstOracle:
 
     @given(st.one_of(valid_systems_st, mutated_systems_st(), dense_faulty_systems_st()))
     @example(cycle_closing_system())
+    # Element "0" at two indices, named first as a source, then as a target.
+    @example(SincovSystem(["a", "b"], {("a", "b"): Relation([("0", "0")])}))
     @settings(max_examples=300)
     def test_classes_are_the_components(self, system):
         # Sorted member lists, so a class holding a node twice shows too.
@@ -469,6 +474,23 @@ class TestQuotientAgainstOracle:
         classes, faulty, _ = _quotient(system)
         assert len(classes) == len(faulty) == 1 and len(classes[0]) == n + 1
         assert CountedHash.calls < 30 * n
+
+    def test_peak_memory_per_pair(self):
+        # 40 charts of the same 6 points: 1 600 relations, 9 600 pairs.  Nodes
+        # are numbered as each relation is read, so no relation's unzipped
+        # columns outlive its step: about 30 bytes a pair, mostly int edges.
+        charts = {f"c{k:02d}": [(f"z{n}", f"e{n}") for n in range(6)] for k in range(40)}
+        system = system_of(generated(charts))
+        pairs = sum(len(rel.pairs) for rel in system.relations.values())
+        assert (len(system.relations), pairs) == (1600, 9600)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            _quotient(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * pairs
 
     @pytest.mark.parametrize("lawful", [True, False])
     def test_reads_each_relation_once(self, lawful):
