@@ -17,14 +17,15 @@ into executable algebra:
   and the command-line front end.
 
 ``import sincov`` loads no submodule.  Every name in ``__all__`` and every
-submodule loads on first use (PEP 562): reading ``sincov.Relation`` imports
-``sincov.relations``, and ``sincov.SincovSystem`` imports ``sincov.systems``
-(with ``atlas``, ``relations`` and ``errors``, which it imports).  So a
-``python -m sincov`` child loads only what its subcommand runs:
-``reconstruct``, ``axioms`` and ``iso`` never load ``systems``, ``flows``
-or ``fractions``, ``check`` and ``solve`` never load ``flows`` or
-``fractions``, and ``flow-gen`` never loads ``systems``.  ``from sincov
-import *`` and ``dir(sincov)`` still see every public name.
+submodule loads on first use (PEP 562), and ``atlas`` and ``relations``
+only where an atlas or a ``Relation`` is made: a system read from a
+document makes its ``Relation``s when ``relations`` is first read, and
+both solvers read their charts off the quotient's classes.  So ``check``,
+and ``solve`` on unlawful input, load ``cli``, ``jsonio``, ``systems`` and
+``errors``; a lawful ``solve`` adds ``atlas`` and ``relations``;
+``reconstruct``, ``axioms`` and ``iso`` load no ``systems``, ``flows`` or
+``fractions``; ``flow-gen`` no ``systems``.  ``from sincov import *`` and
+``dir(sincov)`` still see every public name.
 """
 
 from importlib import import_module

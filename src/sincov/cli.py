@@ -24,13 +24,12 @@ which is decoded as strict UTF-8 under every locale, as files are.  Stdin
 is read at most once, so repeated "-" arguments name the same document:
 ``sincov iso - -`` compares the atlas on stdin with itself.
 
-A child loads only the layers its subcommand runs: the ``systems``
-functions bound below import their module at their first call, and
-``flow-gen``, which writes its trajectory atlas's rows as ``reconstruct``
-does, loads ``flows`` but no ``systems``.  ``reconstruct`` and
-``build_system`` are bound although no subcommand calls them (``sincov
-reconstruct`` and ``sincov flow-gen`` write the transition rows from the
-charts), because bench/tracing.py patches these names.
+A child loads only the layers its subcommand runs (the package docstring
+lists them): the ``atlas`` and ``systems`` functions bound below import
+their module at their first call.  ``reconstruct`` and ``build_system``
+are bound although no subcommand calls them (``sincov reconstruct`` and
+``sincov flow-gen`` write the transition rows from the charts), because
+bench/tracing.py patches these names.
 
 A child on a well-formed command line loads no argparse: ``main`` reads a
 command, its positionals (each ``-`` or a token not starting with ``-``),
@@ -56,7 +55,6 @@ from importlib import import_module
 from types import SimpleNamespace
 
 from . import jsonio
-from .atlas import check_at_axioms, find_isomorphism, validate_atlas
 from .errors import (
     EqualityCaseViolated,
     FormatError,
@@ -72,9 +70,9 @@ from .errors import (
 def _bound_at_first_call(module, name):
     """A stand-in for ``sincov.<module>.<name>`` that imports it when first
     called and rebinds this module's global ``name`` to it, so a child
-    loads ``systems`` or ``flows`` only when its subcommand runs them.  A
-    stand-in that someone has replaced (bench/tracing.py wraps these
-    names) leaves the replacement in place."""
+    loads ``systems``, ``atlas`` or ``flows`` only when its subcommand runs
+    them.  A stand-in that someone has replaced (bench/tracing.py wraps
+    these names) leaves the replacement in place."""
 
     def stand_in(*args):
         function = getattr(import_module(f".{module}", __package__), name)
@@ -86,11 +84,12 @@ def _bound_at_first_call(module, name):
     return stand_in
 
 
+validate_atlas = _bound_at_first_call("atlas", "validate_atlas")
+find_isomorphism = _bound_at_first_call("atlas", "find_isomorphism")
+check_at_axioms = _bound_at_first_call("atlas", "check_at_axioms")
 check_sincov = _bound_at_first_call("systems", "check_sincov")
 solve_atlas = _bound_at_first_call("systems", "solve_atlas")
 solve_via_fixed_index = _bound_at_first_call("systems", "solve_via_fixed_index")
-# Never called here, as the reconstruct and flow-gen subcommands write
-# transition rows; bound because bench/tracing.py patches these references.
 reconstruct = _bound_at_first_call("systems", "reconstruct")
 build_system = _bound_at_first_call("flows", "build_system")
 

@@ -13,7 +13,8 @@ Formats:
 * system:     ``{"indices": [...], "relations": {"<alpha>|<beta>":
   [[b, a], ...]}}``; missing keys are empty relations; index ids must not
   contain ``"|"``.  Each reader and writer checks its ids as one list:
-  all strings, then no ``"|"`` in their join.
+  all strings, then no ``"|"`` in their join.  A system is read into the
+  columns ``systems._quotient`` reads, loading no ``atlas`` or ``relations``.
 * atlas:      ``{"charts": {"<alpha>": [[class, element], ...]}}`` with
   empty charts kept.
 * isomorphism: ``{"omega": [[z, zbar], ...]}``.
@@ -33,13 +34,11 @@ from __future__ import annotations
 import json
 import re
 import sys
+from importlib import import_module
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
-from .atlas import Atlas, Isomorphism, chart_violation_to_obj  # re-exported with the other formats
-from .atlas import _rows
 from .errors import FormatError
-from .relations import Relation
 
 KEY_SEPARATOR = "|"
 # Python 3.10's Fraction grammar, read with re.ASCII; compiled by the first rational read.
@@ -47,6 +46,12 @@ _RATIONAL = (
     r"[\t-\r\x1c- ]*[-+]?(?=\.?\d)(?P<num>\d*)"
     r"(?:/\d+|(?:\.(?P<decimal>\d*))?(?:[eE](?P<exp>[-+]?\d+))?)[\t-\r\x1c- ]*"
 )
+
+
+def __getattr__(name):  # PEP 562: re-exported with the other formats, loaded when first read
+    if name not in ("Atlas", "Isomorphism", "chart_violation_to_obj"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(".atlas", __package__), name)
 
 
 class GeneratedSystem:
@@ -99,16 +104,20 @@ def relation_to_obj(rel: Relation) -> list:
     return list(map(list, sorted(rel.pairs)))
 
 
+def _exact_pairs(relations) -> bool:
+    """True iff each relation is a list of 2-element lists of exact str."""
+    lists = set(map(type, relations)) <= {list}
+    entries = lists and set(map(type, chain.from_iterable(relations))) <= {list}
+    pairs = entries and set(map(len, chain.from_iterable(relations))) <= {2}
+    return pairs and set(map(type, chain.from_iterable(chain.from_iterable(relations)))) <= {str}
+
+
 def relation_from_obj(obj) -> Relation:
+    from .relations import Relation
+
     _require(isinstance(obj, list), "relation must be an array of pairs")
-    # Shapes and types checked at C speed, so the exact pairs need no
-    # normalizing; only when that fails does the loop run, to name the
-    # first bad entry (or pass list/str subclasses on to the constructor).
-    if (
-        set(map(type, obj)) <= {list}
-        and set(map(len, obj)) <= {2}
-        and set(map(type, chain.from_iterable(obj))) <= {str}
-    ):
+    # Only when the C-level check fails does the loop run, to name the first bad entry.
+    if _exact_pairs((obj,)):
         return Relation._of(frozenset(map(tuple, obj)))
     for entry in obj:
         _require(
@@ -139,10 +148,16 @@ def system_from_obj(obj) -> SincovSystem:
     _require(set(obj) <= {"indices", "relations"}, "unknown keys in system object")
     _require("indices" in obj, "system object needs an 'indices' array")
     indices = set(_check_index_ids(_string_items(obj["indices"], "indices")))
-
-    relations = {}
     raw = obj.get("relations", {})
     _require(isinstance(raw, dict), "'relations' must be an object")
+    # The whole document checked at C speed; key ids read as ``indices`` holds them.
+    paired = set(map(type, raw)) <= {str} and set(map(str.count, raw, repeat(KEY_SEPARATOR))) <= {1}
+    held = dict(zip(indices, indices)).get
+    ids = list(map(held, KEY_SEPARATOR.join(raw).split(KEY_SEPARATOR))) if paired else [None]
+    if None not in ids and _exact_pairs(raw.values()):
+        ends = iter(ids)  # alpha, beta, alpha, ...
+        return SincovSystem._of(indices, zip(ends, ends, raw.values()))
+    relations = {}  # else entry by entry, to name the first bad key or pair
     for key, value in raw.items():
         _require(isinstance(key, str), "relation keys must be strings")
         parts = key.split(KEY_SEPARATOR)
@@ -165,6 +180,8 @@ def _generated_text(atlas: Atlas) -> str:
     id holds "|", so ``_rows`` is handed the charts by ``alpha + "|"`` and
     yields the rows in key order, each joined as it comes.
     """
+    from .atlas import Atlas, _rows
+
     encode = encode_basestring_ascii
     _check_index_ids(atlas.charts)
     alphas = sorted(atlas.charts, key=lambda alpha: alpha + KEY_SEPARATOR)
@@ -192,10 +209,16 @@ def atlas_to_obj(atlas: Atlas) -> dict:
 
 
 def atlas_from_obj(obj) -> Atlas:
+    from .atlas import Atlas
+    from .relations import Relation
+
     _require(isinstance(obj, dict), "atlas must be an object")
     _require(set(obj) == {"charts"}, "atlas object needs exactly a 'charts' key")
     charts = obj["charts"]
     _require(isinstance(charts, dict), "'charts' must be an object")
+    plain_ids = set(map(type, charts)) <= {str} and KEY_SEPARATOR not in "".join(charts)
+    if plain_ids and _exact_pairs(charts.values()):  # as in system_from_obj
+        return Atlas({i: Relation._of(frozenset(map(tuple, v))) for i, v in charts.items()})
     parsed = {}
     for index, value in charts.items():
         _check_index_ids((index,))
@@ -208,6 +231,8 @@ def isomorphism_to_obj(iso: Isomorphism) -> dict:
 
 
 def isomorphism_from_obj(obj) -> Isomorphism:
+    from .atlas import Isomorphism
+
     _require(isinstance(obj, dict), "isomorphism must be an object")
     _require(set(obj) == {"omega"}, "isomorphism object needs exactly an 'omega' key")
     return Isomorphism(relation_from_obj(obj["omega"]))

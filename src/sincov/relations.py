@@ -26,11 +26,10 @@ plain string of the same value and hash; a subclass that overrides
 with value ``"a"`` becomes ``"K.A"``, not ``"a"``.  Pass ``K.A.value``
 to key by the value.
 
-Two internal sites hold exact pairs already and skip that pass through
-the private ``Relation._of``: ``jsonio.relation_from_obj``, once its
-C-level checks have found two-element lists of exact ``str`` (all that
-JSON text parses to), and ``systems.reconstruct``, whose pairs are read
-off charts that a constructor normalized.
+Internal sites that hold exact pairs already skip that pass through the
+private ``Relation._of``: jsonio's readers, once C-level checks have found
+two-element lists of exact ``str`` (all that JSON text parses to), and the
+systems that ``system_from_obj`` and ``reconstruct`` build from columns.
 """
 
 from __future__ import annotations

@@ -16,23 +16,28 @@ whose two ends carry different labels merges their classes by relabeling
 the smaller one.  The classes are the carrier points, ``check_sincov``
 reads every violation off the faulty ones' successors, and ``solve_atlas``
 and ``solve_via_fixed_index`` (the group case, where all containments are
-equalities) need there to be none; ``reconstruct`` is the inverse.
+equalities) need there to be none and read their charts off the classes;
+``reconstruct`` is the inverse.  A system that ``jsonio`` reads or
+``reconstruct`` makes holds columns, and makes its ``Relation``s when
+``relations`` is first read.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import Counter, defaultdict, namedtuple
-from itertools import compress, count
+from functools import cached_property
+from importlib import import_module
+from itertools import chain, compress, count
 from operator import ne
 
-from .atlas import Atlas, _raise_invalid, _rows, validate_atlas
-from .errors import (
-    EqualityCaseViolated,
-    PreconditionViolated,
-    UnknownIndex,
-)
-from .relations import EMPTY, Relation
+from .errors import EqualityCaseViolated, PreconditionViolated, UnknownIndex
+
+
+def __getattr__(name):  # PEP 562: ``atlas``'s, once imported here, loaded on first read
+    if name != "validate_atlas":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(".atlas", __package__), name)
 
 
 class Law(enum.Enum):
@@ -75,7 +80,29 @@ class SincovSystem:
                 normalized[(alpha, beta)] = rel
         self.relations = normalized
 
+    @classmethod
+    def _of(cls, indices, entries) -> "SincovSystem":
+        """Exact ids and (alpha, beta, exact (b, a) pairs) per relation, as columns."""
+        columns = []
+        for alpha, beta, pairs in entries:
+            if pairs:
+                firsts, seconds = zip(*pairs)
+                if len(set(firsts)) < len(firsts):  # only then can a pair repeat
+                    firsts, seconds = zip(*set(zip(firsts, seconds)))
+                columns.append((alpha, beta, firsts, seconds))
+        system = cls.__new__(cls)
+        system.indices, system._columns = frozenset(indices), columns
+        return system
+
+    @cached_property  # set by __init__, else built from _of's columns on first read
+    def relations(self) -> dict:
+        from .relations import Relation
+
+        return {(a, b): Relation._of(frozenset(zip(*p))) for a, b, *p in vars(self).pop("_columns")}
+
     def get(self, alpha, beta) -> Relation:
+        from .relations import EMPTY
+
         return self.relations.get((str(alpha), str(beta)), EMPTY)
 
     def __eq__(self, other) -> bool:
@@ -107,8 +134,9 @@ def _quotient(system: SincovSystem):
     fresh = count().__next__
     number = defaultdict(lambda: defaultdict(fresh))
     sources, targets = [], []
-    for (alpha, beta), rel in system.relations.items():
-        firsts, seconds = zip(*rel.pairs)
+    state = vars(system)  # an ``_of`` system's columns, until its relations are built
+    unzipped = ((a, b, *zip(*rel.pairs)) for (a, b), rel in state.get("relations", {}).items())
+    for alpha, beta, firsts, seconds in unzipped if "relations" in state else state["_columns"]:
         sources += map(number[beta].__getitem__, firsts)
         targets += map(number[alpha].__getitem__, seconds)
     nodes = [None] * fresh()
@@ -191,12 +219,19 @@ def solve_atlas(system: SincovSystem) -> Atlas:
     when the laws fail, since then the charts need not be partial
     bijections.
     """
-    charts = {index: set() for index in sorted(system.indices)}
-    for members in _lawful_classes(system):
-        class_id = "cls:{}:{}".format(*min(members))
-        for index, element in members:
-            charts[index].add((class_id, element))
+    classes = _lawful_classes(system)
+    return _charts(system, ("cls:{}:{}".format(*min(members)) for members in classes), classes)
 
+
+def _charts(system, points, classes) -> Atlas:
+    """Chart alpha holds (point, element) per class node (alpha, element)."""
+    from .atlas import Atlas
+    from .relations import Relation
+
+    charts = {index: set() for index in sorted(system.indices)}
+    for point, members in zip(points, classes):
+        for index, element in members:
+            charts[index].add((point, element))
     return Atlas({index: Relation(pairs) for index, pairs in charts.items()})
 
 
@@ -209,6 +244,8 @@ def reconstruct(atlas: Atlas) -> SincovSystem:
     first chart that is not a partial bijection (its ``violations`` lists
     them all).
     """
+    from .atlas import _raise_invalid, _rows, validate_atlas
+
     violations = validate_atlas(atlas)
     if violations:
         _raise_invalid(violations)
@@ -216,13 +253,8 @@ def reconstruct(atlas: Atlas) -> SincovSystem:
     def single(x):
         return (x,)
 
-    return SincovSystem(
-        atlas.charts.keys(),
-        {  # exact pairs already: they are read off normalized charts
-            (alpha, beta): Relation._of(frozenset(pairs))
-            for alpha, beta, pairs in _rows(atlas, single, single)
-        },
-    )
+    # Exact pairs already, as a read document's are: they come off normalized charts.
+    return SincovSystem._of(atlas.charts.keys(), _rows(atlas, single, single))
 
 
 def solve_via_fixed_index(system: SincovSystem, gamma) -> Atlas:
@@ -231,13 +263,14 @@ def solve_via_fixed_index(system: SincovSystem, gamma) -> Atlas:
     Needs every transitivity containment to hold with equality (the
     symmetry containments are then equalities automatically, both
     directions being checked).  Under that hypothesis chart_alpha =
-    Phi[alpha, gamma] reconstructs the system exactly.
+    Phi[alpha, gamma] reconstructs the system exactly: a ``_quotient``
+    class's (element at gamma, element at alpha), over the classes.
 
     On a lawful system Phi[a,b] o Phi[b,c] is strictly below Phi[a,c] iff
     some ``_quotient`` class meets a and c but misses b, so equality holds
     iff every class meets every index.  The first strict triple in index
     order is then (a, b, a): a is the least index of any class missing an
-    index, and b the least index missed by a class containing a.
+    index, and b the least index met by fewer than all classes containing a.
 
     Raises UnknownIndex for a gamma outside the system,
     PreconditionViolated when the containments themselves fail, and
@@ -251,7 +284,8 @@ def solve_via_fixed_index(system: SincovSystem, gamma) -> Atlas:
     partial = [{index for index, _ in c} for c in classes if len(c) < len(system.indices)]
     if partial:
         alpha = min(min(met) for met in partial)
-        beta = min(min(system.indices - met) for met in partial if alpha in met)
+        meets = Counter(chain.from_iterable(met for met in partial if alpha in met))
+        beta = min(index for index in system.indices if meets[index] < meets[alpha])
         raise EqualityCaseViolated((alpha, beta, alpha))
 
-    return Atlas({alpha: system.get(alpha, gamma) for alpha in sorted(system.indices)})
+    return _charts(system, (dict(c)[gamma] for c in classes), classes)

@@ -1,19 +1,31 @@
+import copy
 import json
+import pickle
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genutil import (
     Label,
     atlases_st,
+    mutated_systems_st,
     oracle_relation_from_obj,
     relation_objs_st,
     valid_systems_st,
 )
-from sincov import Atlas, FlowKind, FormatError, Isomorphism, Relation, SincovSystem, reconstruct
+from sincov import (
+    Atlas,
+    FlowKind,
+    FormatError,
+    Isomorphism,
+    Relation,
+    SincovSystem,
+    check_sincov,
+    reconstruct,
+)
 from sincov.jsonio import (
     GeneratedSystem,
     atlas_from_obj,
@@ -189,6 +201,59 @@ class TestSystemFormat:
     @settings(max_examples=60)
     def test_round_trip_property(self, system):
         assert system_from_obj(json.loads(canonical_dumps(system_to_obj(system)))) == system
+
+    @given(
+        st.dictionaries(
+            st.sampled_from(["a|a", "a|b", "b|a", "b|b", "a|q", "ab"]), relation_objs_st, max_size=4
+        )
+    )
+    # Collapsed, Phi[a, b]'s pair is one edge of a two-node class that
+    # lacks its reverse; counted three times, the class would look full.
+    @example({"a|b": [["0", "1"], ["0", "1"], ["0", "1"]], "a|a": [["1", "1"]]})
+    @settings(max_examples=300)
+    def test_matches_the_entry_loop(self, relations):
+        # Each key, then its relation, in document order, as the loop reads them.
+        doc = {"indices": ["a", "b"], "relations": relations}
+        try:
+            expected = {}
+            for key, value in relations.items():
+                parts = key.split("|")
+                if len(parts) != 2:
+                    raise FormatError(f"relation key {key!r} must be '<alpha>|<beta>'")
+                for index in parts:
+                    if index not in doc["indices"]:
+                        raise FormatError(f"relation key uses unknown index {index!r}")
+                expected[tuple(parts)] = oracle_relation_from_obj(value)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as excinfo:
+                system_from_obj(doc)
+            assert str(excinfo.value) == str(exc)
+        else:
+            twin = SincovSystem(doc["indices"], expected)
+            read = system_from_obj(doc)
+            assert check_sincov(read) == check_sincov(twin)  # off the columns
+            assert read == twin
+
+    @given(st.one_of(valid_systems_st, mutated_systems_st()))
+    @settings(max_examples=60)
+    def test_read_system_acts_as_its_twin(self, system):
+        # Each read on a fresh document-built system, whose relations it
+        # builds, against the constructed system it was written from.
+        def roundtrip(copied):
+            return lambda s: (repr(copied(s)), copied(s) == system, check_sincov(copied(s)))
+
+        indices = sorted(system.indices)
+        reads = [
+            lambda s: (s == system, system == s),
+            repr,
+            lambda s: [s.get(alpha, beta) for alpha in indices for beta in indices],
+            lambda s: s.relations,
+            roundtrip(lambda s: pickle.loads(pickle.dumps(s))),
+            roundtrip(copy.deepcopy),
+        ]
+        doc = system_to_obj(system)
+        for read in reads:
+            assert read(system_from_obj(doc)) == read(system)
 
 
 class TestAtlasFormat:

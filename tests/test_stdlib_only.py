@@ -137,6 +137,33 @@ def test_subcommand_loads_only_what_it_runs(argv, loaded):
     assert LATE & set(ast.literal_eval(child_output(code))) == loaded
 
 
+CORE = {"sincov", "sincov.cli", "sincov.errors", "sincov.jsonio", "sincov.systems"}
+UNLAWFUL = '{"indices":["a"],"relations":{"a|a":[["0","1"]]}}'
+LAWFUL = (GOLDEN / "pair_system.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, document, loaded",
+    [
+        (["check"], UNLAWFUL, CORE),
+        (["solve"], UNLAWFUL, CORE),
+        (["check"], LAWFUL, CORE),
+        (["solve"], LAWFUL, CORE | {"sincov.atlas", "sincov.relations"}),
+    ],
+    ids=["check-unlawful", "solve-unlawful", "check-lawful", "solve-lawful"],
+)
+def test_system_subcommand_loads_the_atlas_layer_only_for_an_atlas(argv, document, loaded):
+    # The system is read into columns, and the quotient's verdict needs no
+    # Relation; only a solved atlas makes charts.
+    code = (
+        "import contextlib, io; from sincov.cli import main\n"
+        f"sys.stdin = io.TextIOWrapper(io.BytesIO({document.encode()!r}), encoding='utf-8')\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): main({[*argv, '-']!r})\n"
+        "print(sorted(name for name in sys.modules if name.partition('.')[0] == 'sincov'))"
+    )
+    assert set(ast.literal_eval(child_output(code))) == loaded
+
+
 def test_star_import_and_dir_see_every_public_name():
     code = (
         "import sincov; listed = dir(sincov); from sincov import *\n"
