@@ -18,9 +18,9 @@ into executable algebra:
 
 ``import sincov`` loads no submodule.  Every name in ``__all__`` and every
 submodule loads on first use (PEP 562), and ``atlas`` and ``relations``
-only where an atlas or a ``Relation`` is made: a system read from a
-document makes its ``Relation``s when ``relations`` is first read, and
-both solvers read their charts off the quotient's classes.  So ``check``,
+only where an atlas or a ``Relation`` is made: every system holds its
+relations as the columns that the quotient reads, and both solvers read
+their charts off the quotient's classes.  So ``check``,
 and ``solve`` on unlawful input, load ``cli``, ``jsonio``, ``systems`` and
 ``errors``; a lawful ``solve`` adds ``atlas`` and ``relations``;
 ``reconstruct``, ``axioms`` and ``iso`` load no ``systems``, ``flows`` or

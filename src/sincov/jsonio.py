@@ -13,8 +13,8 @@ Formats:
 * system:     ``{"indices": [...], "relations": {"<alpha>|<beta>":
   [[b, a], ...]}}``; missing keys are empty relations; index ids must not
   contain ``"|"``.  Each reader and writer checks its ids as one list:
-  all strings, then no ``"|"`` in their join.  A system is read into the
-  columns ``systems._quotient`` reads, loading no ``atlas`` or ``relations``.
+  all strings, then no ``"|"`` in their join.  A system's ids are made exact
+  ``str`` and its pairs read into columns, loading no ``atlas`` or ``relations``.
 * atlas:      ``{"charts": {"<alpha>": [[class, element], ...]}}`` with
   empty charts kept.
 * isomorphism: ``{"omega": [[z, zbar], ...]}``.
@@ -147,7 +147,7 @@ def system_from_obj(obj) -> SincovSystem:
     _require(isinstance(obj, dict), "system must be an object")
     _require(set(obj) <= {"indices", "relations"}, "unknown keys in system object")
     _require("indices" in obj, "system object needs an 'indices' array")
-    indices = set(_check_index_ids(_string_items(obj["indices"], "indices")))
+    indices = _check_index_ids(set(map(str, _string_items(obj["indices"], "indices"))))
     raw = obj.get("relations", {})
     _require(isinstance(raw, dict), "'relations' must be an object")
     # The whole document checked at C speed; key ids read as ``indices`` holds them.

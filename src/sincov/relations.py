@@ -16,20 +16,20 @@ The two predicates at the heart of the package:
 A relation that is both is a partial bijection.  These are closed under
 composition and inverse, which the test suite exercises as a law.
 
-The ``Relation``, ``SincovSystem`` and ``Atlas`` constructors are the one
-place identifiers are normalized: they pass every element, index and
-carrier point through ``str``, so callers need not convert first.  ``str``
-returns an exact string unchanged, and any other value ``x`` is stored as
-``str(x)``.  For a ``str`` subclass that keeps ``str.__str__`` that is the
-plain string of the same value and hash; a subclass that overrides
-``__str__`` is stored as that text, so a ``(str, Enum)`` member ``K.A``
-with value ``"a"`` becomes ``"K.A"``, not ``"a"``.  Pass ``K.A.value``
-to key by the value.
+The ``Relation``, ``SincovSystem`` and ``Atlas`` constructors, and
+``system_from_obj`` for its ids, normalize identifiers: they pass every
+element, index and carrier point through ``str``, so callers need not
+convert first.  ``str`` returns an exact string unchanged, and any other
+value ``x`` is stored as ``str(x)``.  For a ``str`` subclass that keeps
+``str.__str__`` that is the plain string of the same value and hash; a
+subclass that overrides ``__str__`` is stored as that text, so a
+``(str, Enum)`` member ``K.A`` with value ``"a"`` becomes ``"K.A"``, not
+``"a"``.  Pass ``K.A.value`` to key by the value.
 
 Internal sites that hold exact pairs already skip that pass through the
-private ``Relation._of``: jsonio's readers, once C-level checks have found
-two-element lists of exact ``str`` (all that JSON text parses to), and the
-systems that ``system_from_obj`` and ``reconstruct`` build from columns.
+private ``Relation._of``: jsonio's relation and atlas readers, once C-level
+checks have found two-element lists of exact ``str`` (all JSON parses to),
+and ``SincovSystem.relations`` of a system built by ``SincovSystem._of``.
 """
 
 from __future__ import annotations

@@ -17,9 +17,8 @@ the smaller one.  The classes are the carrier points, ``check_sincov``
 reads every violation off the faulty ones' successors, and ``solve_atlas``
 and ``solve_via_fixed_index`` (the group case, where all containments are
 equalities) need there to be none and read their charts off the classes;
-``reconstruct`` is the inverse.  A system that ``jsonio`` reads or
-``reconstruct`` makes holds columns, and makes its ``Relation``s when
-``relations`` is first read.
+``reconstruct`` is the inverse.  Every system holds its relations as
+columns, which ``_quotient`` alone reads; ``relations`` is a view of them.
 """
 
 from __future__ import annotations
@@ -63,6 +62,8 @@ class ViolationReport(namedtuple("ViolationReport", "law indices pair")):
 class SincovSystem:
     """Finite index set plus a normalized map (alpha, beta) -> Relation.
 
+    It holds exact-``str`` ``indices`` and ``_columns``: one (alpha, beta,
+    firsts, seconds) per non-empty relation, no pair (alpha, beta) twice.
     Empty relations are never stored, so equality of systems is equality of
     index sets plus entry-wise set equality of the non-empty relations.
     """
@@ -78,6 +79,7 @@ class SincovSystem:
                     raise UnknownIndex(index)
             if rel.pairs:
                 normalized[(alpha, beta)] = rel
+        self._columns = [(a, b, *zip(*rel.pairs)) for (a, b), rel in normalized.items()]
         self.relations = normalized
 
     @classmethod
@@ -94,11 +96,11 @@ class SincovSystem:
         system.indices, system._columns = frozenset(indices), columns
         return system
 
-    @cached_property  # set by __init__, else built from _of's columns on first read
+    @cached_property  # __init__ keeps the caller's Relations; an _of system's are built here
     def relations(self) -> dict:
         from .relations import Relation
 
-        return {(a, b): Relation._of(frozenset(zip(*p))) for a, b, *p in vars(self).pop("_columns")}
+        return {(a, b): Relation._of(frozenset(zip(*p))) for a, b, *p in self._columns}
 
     def get(self, alpha, beta) -> Relation:
         from .relations import EMPTY
@@ -134,9 +136,7 @@ def _quotient(system: SincovSystem):
     fresh = count().__next__
     number = defaultdict(lambda: defaultdict(fresh))
     sources, targets = [], []
-    state = vars(system)  # an ``_of`` system's columns, until its relations are built
-    unzipped = ((a, b, *zip(*rel.pairs)) for (a, b), rel in state.get("relations", {}).items())
-    for alpha, beta, firsts, seconds in unzipped if "relations" in state else state["_columns"]:
+    for alpha, beta, firsts, seconds in system._columns:
         sources += map(number[beta].__getitem__, firsts)
         targets += map(number[alpha].__getitem__, seconds)
     nodes = [None] * fresh()

@@ -1,8 +1,10 @@
 import copy
+import enum
 import json
 import pickle
 import sys
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,10 +23,13 @@ from sincov import (
     FlowKind,
     FormatError,
     Isomorphism,
+    PreconditionViolated,
     Relation,
     SincovSystem,
+    UnknownIndex,
     check_sincov,
     reconstruct,
+    solve_atlas,
 )
 from sincov.jsonio import (
     GeneratedSystem,
@@ -197,6 +202,23 @@ class TestSystemFormat:
         system = system_from_obj(obj)
         assert system == SincovSystem(["a"], {("a", "a"): Relation([("0", "0")])})
 
+    @pytest.mark.parametrize("key", ["a|b", Label("a|b")], ids=["checked-whole", "entry-loop"])
+    def test_index_ids_read_as_exact_str(self, key):
+        # Each id passes through ``str`` once, as the constructor's do, before
+        # either path reads it; a ``Label`` key sends the read entry by entry.
+        class K(str, enum.Enum):
+            A = "a"
+
+        system = system_from_obj({"indices": [Label("a"), "b"], "relations": {key: [["x", "y"]]}})
+        keys = [column[:2] for column in system._columns] + list(system.relations)
+        assert [type(x) for x in [*system.indices, *chain(*keys)]] == [str] * 6
+        assert system == SincovSystem(["a", "b"], {("a", "b"): Relation([("x", "y")])})
+        with pytest.raises(FormatError) as excinfo:
+            system_from_obj({"indices": [K.A, "b"], "relations": {key: [["x", "y"]]}})
+        assert str(excinfo.value) == "relation key uses unknown index 'a'"
+        with pytest.raises(UnknownIndex):
+            SincovSystem([K.A, "b"], {("a", "b"): Relation([("x", "y")])})
+
     @given(valid_systems_st)
     @settings(max_examples=60)
     def test_round_trip_property(self, system):
@@ -242,6 +264,14 @@ class TestSystemFormat:
         def roundtrip(copied):
             return lambda s: (repr(copied(s)), copied(s) == system, check_sincov(copied(s)))
 
+        def quotient_after_relations(s):
+            relations = dict(s.relations)
+            try:
+                solved = solve_atlas(s)
+            except PreconditionViolated as exc:
+                solved = exc.reports
+            return relations, check_sincov(s), solved, s.relations
+
         indices = sorted(system.indices)
         reads = [
             lambda s: (s == system, system == s),
@@ -250,6 +280,7 @@ class TestSystemFormat:
             lambda s: s.relations,
             roundtrip(lambda s: pickle.loads(pickle.dumps(s))),
             roundtrip(copy.deepcopy),
+            quotient_after_relations,
         ]
         doc = system_to_obj(system)
         for read in reads:

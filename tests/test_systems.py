@@ -2,7 +2,7 @@ import contextlib
 import random
 import tracemalloc
 from collections import Counter
-from itertools import compress, product
+from itertools import chain, compress, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -89,6 +89,19 @@ class TestSystemModel:
 
     def test_empty_entries_normalized_away(self):
         assert SincovSystem(["a"], {("a", "a"): Relation()}) == SincovSystem(["a"])
+
+    @given(valid_systems_st)
+    @settings(max_examples=40)
+    def test_every_builder_holds_columns(self, system):
+        # Constructed, read and reconstructed (as flows.build_system's are):
+        # exact ids, one column entry per non-empty relation, and the pairs.
+        for built in (system, system_from_obj(system_to_obj(system)), reconstruct(solve_atlas(system))):
+            keys = [(alpha, beta) for alpha, beta, *_ in built._columns]
+            assert len(set(keys)) == len(keys)
+            assert set(map(type, chain(built.indices, *keys))) <= {str}
+            held = {(alpha, beta): set(zip(*pairs)) for alpha, beta, *pairs in built._columns}
+            assert held == {key: set(rel.pairs) for key, rel in built.relations.items()}
+            assert built == system
 
 
 class TestCheckSincov:
@@ -501,9 +514,9 @@ class TestQuotientAgainstOracle:
         assert CountedHash.calls < 30 * n
 
     def test_peak_memory_per_pair(self):
-        # 40 charts of the same 6 points: 1 600 relations, 9 600 pairs.  Nodes
-        # are numbered as each relation is read, so no relation's unzipped
-        # columns outlive its step: about 30 bytes a pair, mostly int edges.
+        # 40 charts of the same 6 points: 1 600 relations, 9 600 pairs.  The
+        # system holds the columns, and nodes are numbered as each column is
+        # read: about 30 bytes a pair, mostly int edges.
         charts = {f"c{k:02d}": [(f"z{n}", f"e{n}") for n in range(6)] for k in range(40)}
         system = system_of(generated(charts))
         pairs = sum(len(rel.pairs) for rel in system.relations.values())
@@ -524,17 +537,21 @@ class TestQuotientAgainstOracle:
         if not lawful:  # a fresh element joins a class without its self-loop
             key = min(relations)
             relations[key] = Relation(relations[key].pairs | {(min(relations[key].pairs)[0], "x")})
+        # Construction reads each relation's pairs once, into the columns;
+        # the quotient behind every solver reads those, and no pairs again.
+        CountedPairs.reads.clear()
         counted = SincovSystem(
             system.indices,
             {key: Relation._of(CountedPairs(rel.pairs)) for key, rel in relations.items()},
         )
         once = Counter({id(rel.pairs): 1 for rel in counted.relations.values()})
-        assert len(once) > 10 and (check_sincov(counted) == []) == lawful
+        assert len(once) > 10 and CountedPairs.reads == once
         for run in (check_sincov, solve_atlas):
             CountedPairs.reads.clear()
             with contextlib.suppress(PreconditionViolated):
                 run(counted)
-            assert CountedPairs.reads == once
+            assert not CountedPairs.reads
+        assert (check_sincov(counted) == []) == lawful
 
     def test_selected_laws_build_only_their_reports(self, monkeypatch):
         # Phi[a, a] breaks identity, and the chain a -> b -> c has no
