@@ -9,23 +9,24 @@ carrier bijection, which ``find_isomorphism`` computes and
 
 A whole transition family is read off the charts of a valid atlas by one
 reader, ``_rows``, which visits only the chart pairs that share a point.
-``systems.reconstruct`` makes ``Relation``s from its rows, and
-``jsonio._generated_text`` makes the wire text that ``sincov reconstruct``
+``systems.reconstruct`` hands its rows to ``SincovSystem._of`` as columns,
+and ``jsonio._generated_text`` makes the wire text that ``sincov reconstruct``
 and ``sincov flow-gen`` write without building a system.  ``transition``
 reads one pair of charts of any atlas.
 
 ``check_at_axioms`` verifies the set-level fragment of the classical atlas
 axioms: carrier coverage, chart bijectivity, and transition injectivity and
 co-injectivity (coverage, domain and range hold by definition).  By closure,
-only the bad charts' rows and columns can fail at3, and they are read
-through ``transition``.  Differentiability and openness have no finite-data
+only the bad charts' rows and columns can fail at3, and of those only the
+transitions between charts that share a point are read, through
+``transition``.  Differentiability and openness have no finite-data
 counterpart and are deliberately not claimed; the report is "set-level" only.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import compress, product
+from itertools import compress
 from operator import add, itemgetter
 
 from .errors import IndexMismatch, InvalidAtlas, NotIsomorphic, UnknownIndex
@@ -153,35 +154,26 @@ def _rows(atlas: Atlas, head, tail):
             buffer[number] = None
 
 
-def _raise_invalid(violations):
-    first = violations[0]
-    exc = InvalidAtlas(first.index, first.predicate, first.pair)
-    exc.violations = violations
-    raise exc
+def _require_valid(atlas: Atlas) -> None:
+    """Raise InvalidAtlas naming the first chart that is not a partial
+    bijection; its ``violations`` lists every one."""
+    violations = validate_atlas(atlas)
+    if violations:
+        exc = InvalidAtlas(*violations[0])  # (index, predicate, pair)
+        exc.violations = violations
+        raise exc
 
 
 def _match_charts(src: Atlas, dst: Atlas, present_in: int, missing_reason: str) -> dict:
     """Carrier map src -> dst forced by matching chart values.
 
     For every chart pair (z, a) of src, z must go to the unique dst carrier
-    point that the same chart sends to a.  A point forced two ways proves
-    the transition relations differ; the raised witness pair is a member of
-    src's transition relation that dst cannot realize.  The forced pairs
-    are read at C speed; only when one is missing or two disagree does the
-    loop run, to name and raise the first witness in (chart, pair) order.
+    point that the same chart sends to a.  Charts are read in index order
+    and their pairs in sorted order.  The first value a that dst's chart
+    lacks raises ``missing_reason``; the first point forced two ways proves
+    the transition relations differ, and the raised witness pair is a
+    member of src's transition relation that dst cannot realize.
     """
-    forced_pairs = set()
-    for alpha, chart in src.charts.items():
-        pairs = dst.charts.get(alpha, EMPTY).pairs
-        by_value = dict(zip(map(itemgetter(1), pairs), map(itemgetter(0), pairs)))
-        zbars = list(map(by_value.get, map(itemgetter(1), chart.pairs)))
-        if None in zbars:
-            break
-        forced_pairs.update(zip(map(itemgetter(0), chart.pairs), zbars))
-    else:
-        assignment = dict(forced_pairs)
-        if len(assignment) == len(forced_pairs):
-            return assignment
     assignment = {}  # z -> (zbar, chart index, element) that forced it
     for alpha in sorted(src.charts):
         by_value = {a: z for z, a in dst.charts.get(alpha, EMPTY).pairs}
@@ -196,6 +188,7 @@ def _match_charts(src: Atlas, dst: Atlas, present_in: int, missing_reason: str) 
                 # (a, prev element) sits in src's transition relation from
                 # prev chart to this one, via the shared carrier point z.
                 raise NotIsomorphic("conflict", (prev[1], alpha), (a, prev[2]), present_in)
+    return {z: forced[0] for z, forced in assignment.items()}
 
 
 def find_isomorphism(a1: Atlas, a2: Atlas) -> Isomorphism:
@@ -208,10 +201,8 @@ def find_isomorphism(a1: Atlas, a2: Atlas) -> Isomorphism:
     """
     if a1.indices != a2.indices:
         raise IndexMismatch(a1.indices - a2.indices, a2.indices - a1.indices)
-    for atlas in (a1, a2):
-        violations = validate_atlas(atlas)
-        if violations:
-            _raise_invalid(violations)
+    _require_valid(a1)
+    _require_valid(a2)
     forward = _match_charts(a1, a2, present_in=1, missing_reason="missing_counterpart")
     # The reverse pass certifies bijectivity: it surfaces carrier points of
     # a2 with no counterpart (coverage) and two-to-one collapses (conflict).
@@ -250,7 +241,8 @@ def check_at_axioms(atlas: Atlas) -> dict:
     at3: every transition is injective and co-injective (its domain and range
          are the charts' images of the shared domain by definition); by
          closure, only the rows and columns of the charts at2 names can
-         fail, and each of those is read through ``transition``.
+         fail, and of those only the transitions to and from charts that
+         share a point with them, each read through ``transition``.
 
     Failures are reported, never raised.
     """
@@ -259,8 +251,14 @@ def check_at_axioms(atlas: Atlas) -> dict:
     chart_violations = [chart_violation_to_obj(v) for v in violations]
 
     bad = {v.index for v in violations}
+    holders = {}  # point -> the charts holding it, listed only when a chart is bad
+    for index, chart in charts.items() if bad else ():
+        for z in chart.domain:
+            holders.setdefault(z, []).append(index)
+    # A transition between charts that share no point is empty, so it passes.
+    touching = {(alpha, beta) for alpha in bad for z in charts[alpha].domain for beta in holders[z]}
     transition_failures = []
-    for alpha, beta in sorted({*product(bad, charts), *product(charts, bad)}):
+    for alpha, beta in sorted(touching | {(beta, alpha) for alpha, beta in touching}):
         t = transition(atlas, alpha, beta)
         failed = []
         if not t.is_injective():

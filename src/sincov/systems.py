@@ -189,8 +189,10 @@ def check_sincov(system: SincovSystem, laws=None) -> list:
     They are read off the edges u -> v of ``_quotient``'s faulty classes:
     identity fails at an edge within one index, symmetry at an edge without
     its reverse, transitivity at a path u -> v -> w without the edge u -> w.
-    The list is sorted by the reports' canonical serialization, so it is
-    deterministic.  An empty list means the system solves the inequalities.
+    The list is sorted by (law name, indices, pair) in Python tuple order,
+    so it is deterministic; that is not the order of the serialized text,
+    since the index ``("a",)`` sorts before ``("a!",)``.  An empty list
+    means the system solves the inequalities.
     ``laws`` (default all) is an iterable of ``Law`` members or their names;
     an unknown name, or a bare string, raises ValueError.
     """
@@ -244,11 +246,9 @@ def reconstruct(atlas: Atlas) -> SincovSystem:
     first chart that is not a partial bijection (its ``violations`` lists
     them all).
     """
-    from .atlas import _raise_invalid, _rows, validate_atlas
+    from .atlas import _require_valid, _rows
 
-    violations = validate_atlas(atlas)
-    if violations:
-        _raise_invalid(violations)
+    _require_valid(atlas)
 
     def single(x):
         return (x,)

@@ -217,6 +217,15 @@ def documents():
     lookalike = {"a": [("z", "a"), ("w", "a!")], "a!": [("z", "a!"), ("v", "a")], "b": []}
     atlas("lookalike", lookalike, atlas_doc(renamed(random.Random(11), lookalike)))
     system("lookalike", generated(lookalike), ["a!"])
+    shared_bad = {  # at3 witnesses from bad charts p, q, r sharing points with s, t
+        "p": [("z0", "0"), ("z1", "0"), ("z2", "1")],
+        "q": [("z1", "2"), ("z1", "3"), ("z3", "4")],
+        "r": [("z2", "5"), ("z3", "5"), ("z3", "6")],
+        "s": [("z0", "7"), ("z3", "8")],
+        "t": [("z2", "9"), ("w", "10")],
+        "u": [("v", "11")],
+    }
+    atlas("bad-charts-sharing-points", shared_bad)
     dense = {"indices": list("abc"), "relations": {}}
     for alpha in dense["indices"]:  # one faulty class: every Phi the full 4 x 4 relation
         for beta in dense["indices"]:

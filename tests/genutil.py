@@ -291,9 +291,10 @@ def oracle_relation_from_obj(obj) -> Relation:
 
 
 def oracle_match_charts(src: Atlas, dst: Atlas, present_in: int, missing_reason: str) -> dict:
-    """``atlas._match_charts`` by its per-pair loop alone: charts in index
+    """A copy of the loop that ``atlas._match_charts`` runs: charts in index
     order, pairs in sorted order, and the first missing value or point
-    forced two ways names the witness."""
+    forced two ways names the witness.  Kept here so that a later edit of
+    ``_match_charts`` must still agree with it."""
     assignment = {}
     for alpha in sorted(src.charts):
         by_value = {a: z for z, a in dst.charts.get(alpha, EMPTY).pairs}

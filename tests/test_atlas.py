@@ -445,6 +445,19 @@ class TestAtAxiomsWork:
         assert report["at3"]["witnesses"]
         assert calls == ["transition"] * (2 * 24 - 1)
 
+    def test_disjoint_bad_charts_build_one_transition_each(self, monkeypatch):
+        # A transition between charts that share no point is empty, so each
+        # bad chart is read only against itself: n transitions, not n².
+        n = 30
+        atlas = Atlas({f"c{k:02d}": Relation([(f"z{k}", "0"), (f"w{k}", "0")]) for k in range(n)})
+        calls = []
+        count_calls(monkeypatch, calls, sincov.atlas, "_rows", "transition")
+        report = check_at_axioms(atlas)
+        monkeypatch.undo()
+        assert calls == ["transition"] * n
+        assert report == oracle_at_axioms(atlas)
+        assert len(report["at2"]["witnesses"]) == n
+
     def test_only_transitions_touching_the_bad_chart_are_examined(self, monkeypatch):
         atlas = big_atlas(random.Random(43), bad="i07")
         charts = list(atlas.charts.values())
