@@ -17,15 +17,14 @@ reads one pair of charts of any atlas.
 ``check_at_axioms`` verifies the set-level fragment of the classical atlas
 axioms: carrier coverage, chart bijectivity, and transition injectivity and
 co-injectivity (coverage, domain and range hold by definition).  By closure,
-only the bad charts' rows and columns can fail at3, and of those only the
-transitions between charts that share a point are read, through
-``transition``.  Differentiability and openness have no finite-data
+only transitions touching a bad chart can fail at3, and they are read off the
+bad charts' points.  Differentiability and openness have no finite-data
 counterpart and are deliberately not claimed; the report is "set-level" only.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from itertools import compress
 from operator import add, itemgetter
 
@@ -119,8 +118,7 @@ def _rows(atlas: Atlas, head, tail):
     bijection), as (alpha, beta, items): for each point that chart beta
     sends to b and chart alpha to a, in b's element order, the item
     head(b) + tail(a).  Tails must be truthy.  The alphas come in the
-    charts' order, each with its betas in sorted order.  Behind
-    ``systems.reconstruct`` and ``jsonio._generated_text``.
+    charts' order, each with its betas in sorted order.
 
     The carrier points are numbered once, and each chart's heads and tails
     are made once.  One buffer, indexed by point number, holds chart
@@ -239,10 +237,10 @@ def check_at_axioms(atlas: Atlas) -> dict:
          reported as passing with no witnesses.
     at2: every chart is a bijection of its domain onto its image.
     at3: every transition is injective and co-injective (its domain and range
-         are the charts' images of the shared domain by definition); by
-         closure, only the rows and columns of the charts at2 names can
-         fail, and of those only the transitions to and from charts that
-         share a point with them, each read through ``transition``.
+         are the charts' images of the shared domain by definition).  Only
+         transitions touching a chart at2 names can fail (by closure): each
+         bad holder of a point, paired both ways with every holder, gives
+         one of their pairs.
 
     Failures are reported, never raised.
     """
@@ -251,20 +249,22 @@ def check_at_axioms(atlas: Atlas) -> dict:
     chart_violations = [chart_violation_to_obj(v) for v in violations]
 
     bad = {v.index for v in violations}
-    holders = {}  # point -> the charts holding it, listed only when a chart is bad
-    for index, chart in charts.items() if bad else ():
-        for z in chart.domain:
-            holders.setdefault(z, []).append(index)
-    # A transition between charts that share no point is empty, so it passes.
-    touching = {(alpha, beta) for alpha in bad for z in charts[alpha].domain for beta in holders[z]}
+    held = {z: [] for alpha in bad for z, _ in charts[alpha].pairs}  # point -> (chart, element)s
+    for index, chart in charts.items() if held else ():
+        for z, a in chart.pairs:
+            if z in held:
+                held[z].append((index, a))
+    rows = defaultdict(set)  # (alpha, beta) -> Phi[alpha, beta]'s pairs, if it touches a bad chart
+    for holding in held.values():
+        for alpha, a in holding:
+            for beta, b in holding if alpha in bad else ():
+                rows[alpha, beta].add((b, a))
+                rows[beta, alpha].add((a, b))
     transition_failures = []
-    for alpha, beta in sorted(touching | {(beta, alpha) for alpha, beta in touching}):
-        t = transition(atlas, alpha, beta)
-        failed = []
-        if not t.is_injective():
-            failed.append("injectivity")
-        if not t.is_coinjective():
-            failed.append("co-injectivity")
+    for (alpha, beta), pairs in sorted(rows.items()):
+        t = Relation._of(frozenset(pairs))
+        checks = (("injectivity", t.is_injective()), ("co-injectivity", t.is_coinjective()))
+        failed = [predicate for predicate, holds in checks if not holds]
         if failed:
             transition_failures.append({"alpha": alpha, "beta": beta, "failed": failed})
 

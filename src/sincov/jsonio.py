@@ -116,9 +116,6 @@ def relation_from_obj(obj) -> Relation:
     from .relations import Relation
 
     _require(isinstance(obj, list), "relation must be an array of pairs")
-    # Only when the C-level check fails does the loop run, to name the first bad entry.
-    if _exact_pairs((obj,)):
-        return Relation._of(frozenset(map(tuple, obj)))
     for entry in obj:
         _require(
             isinstance(entry, list) and len(entry) == 2,

@@ -27,9 +27,9 @@ subclass that overrides ``__str__`` is stored as that text, so a
 ``"a"``.  Pass ``K.A.value`` to key by the value.
 
 Internal sites that hold exact pairs already skip that pass through the
-private ``Relation._of``: jsonio's relation and atlas readers, once C-level
-checks have found two-element lists of exact ``str`` (all JSON parses to),
-and ``SincovSystem.relations`` of a system built by ``SincovSystem._of``.
+private ``Relation._of``: jsonio's atlas reader, once C-level checks have
+found two-element lists of exact ``str`` (all JSON parses to), and
+``SincovSystem.relations`` of a system built by ``SincovSystem._of``.
 """
 
 from __future__ import annotations

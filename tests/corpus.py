@@ -2,11 +2,12 @@
 
 Every case is one subcommand run in-process through ``cli.main``,
 canonical and ``--pretty``, on a seeded input document read from stdin:
-valid, thinned and mutated systems and atlases, disjoint one-point charts
-and a hub atlas, dense faulty classes, a class that fails only identity,
-relations that repeat pairs, escaped and look-alike ids, empty charts,
-all four flow kinds (merged seeds and trajectories cut short included)
-and malformed documents, each under every subcommand it admits.  A
+valid, thinned and mutated systems and atlases, disjoint one-point charts,
+a hub atlas, one bad chart beside a one-point chart on each of its points,
+dense faulty classes, a class that fails only identity, relations that
+repeat pairs, escaped and look-alike ids, empty charts, all four flow
+kinds (merged seeds and trajectories cut short included) and malformed
+documents, each under every subcommand it admits.  A
 case's hash covers both runs' exit codes and stdout, and their stderr
 only where sincov writes all of that text: the messages of ``json``,
 ``argparse``, codecs and int conversion differ across Python versions,
@@ -226,6 +227,9 @@ def documents():
         "u": [("v", "11")],
     }
     atlas("bad-charts-sharing-points", shared_bad)
+    big_bad = {f"p{k}": [(f"z{k}", f"p.{k}")] for k in range(6)}  # at3 read through shared points
+    big_bad["big"] = [(f"z{k}", str(k)) for k in range(6)] + [("z0", "x")]
+    atlas("big-bad-chart", big_bad)
     dense = {"indices": list("abc"), "relations": {}}
     for alpha in dense["indices"]:  # one faulty class: every Phi the full 4 x 4 relation
         for beta in dense["indices"]:

@@ -38,7 +38,7 @@ from sincov import (
 import sincov.atlas
 from sincov import jsonio
 from sincov.atlas import _match_charts
-from test_systems import pair_system, swap_system, two_class_system
+from test_systems import CountedPairs, pair_system, swap_system, two_class_system
 
 
 def witness_checks_out(exc, a1, a2):
@@ -426,9 +426,53 @@ def count_calls(monkeypatch, calls, owner, *names):
         monkeypatch.setattr(owner, name, wrapper)
 
 
+def big_bad_chart(n):
+    """Chart "big" over n points, which also sends z0 to a second element,
+    beside a one-point chart on each of its points."""
+    charts = {f"p{k:05d}": Relation([(f"z{k}", f"p.{k}")]) for k in range(n)}
+    charts["big"] = Relation([(f"z{k}", f"big.{k}") for k in range(n)] + [("z0", "big.x")])
+    return Atlas(charts)
+
+
+def touching(atlas, bad):
+    """The pairs of every non-empty transition to or from a chart in bad,
+    in sorted (alpha, beta) order, by the definition."""
+    rows = [
+        transition(atlas, alpha, beta).pairs
+        for alpha in sorted(atlas.indices)
+        for beta in sorted(atlas.indices)
+        if alpha in bad or beta in bad
+    ]
+    return [pairs for pairs in rows if pairs]
+
+
+def examined_by_check_at_axioms(monkeypatch, atlas):
+    """(report, the transition and compose calls made, the pairs of every
+    relation other than a chart whose bijectivity is examined)."""
+    charts = list(atlas.charts.values())
+    calls, examined = [], []
+
+    def recorded(fn):
+        def wrapper(self):
+            if not any(self is chart for chart in charts):
+                examined.append(self.pairs)
+            return fn(self)
+
+        return wrapper
+
+    count_calls(monkeypatch, calls, sincov.atlas, "_rows", "transition")
+    count_calls(monkeypatch, calls, Relation, "compose")
+    monkeypatch.setattr(Relation, "is_injective", recorded(Relation.is_injective))
+    monkeypatch.setattr(Relation, "is_coinjective", recorded(Relation.is_coinjective))
+    report = check_at_axioms(atlas)
+    monkeypatch.undo()
+    return report, calls, examined
+
+
 class TestAtAxiomsWork:
-    """at3's work is pinned by counts: the transitions it builds and the
-    ones whose bijectivity it examines."""
+    """at3's work is pinned by counts: no transition is composed, each chart
+    is read a bounded number of times, and exactly the non-empty transitions
+    touching a bad chart are examined, each once."""
 
     def test_valid_atlas_builds_no_transition(self, monkeypatch):
         calls = []
@@ -438,51 +482,42 @@ class TestAtAxiomsWork:
         assert all(section["pass"] for section in report.values())
         assert calls == []
 
-    def test_bad_chart_reads_its_row_and_column_through_transition(self, monkeypatch):
-        calls = []
-        count_calls(monkeypatch, calls, sincov.atlas, "_rows", "transition")
-        report = check_at_axioms(big_atlas(random.Random(43), bad="i07"))
+    def test_bad_chart_row_and_column_are_read_without_compose(self, monkeypatch):
+        atlas = big_atlas(random.Random(43), bad="i07")
+        report, calls, examined = examined_by_check_at_axioms(monkeypatch, atlas)
+        assert calls == []
+        rows = touching(atlas, {"i07"})
+        assert len(rows) == 2 * 24 - 1
+        assert examined == [pairs for pairs in rows for _ in range(2)]
+        assert report == oracle_at_axioms(atlas)
         assert report["at3"]["witnesses"]
-        assert calls == ["transition"] * (2 * 24 - 1)
 
-    def test_disjoint_bad_charts_build_one_transition_each(self, monkeypatch):
+    def test_disjoint_bad_charts_examine_one_transition_each(self, monkeypatch):
         # A transition between charts that share no point is empty, so each
         # bad chart is read only against itself: n transitions, not n².
         n = 30
         atlas = Atlas({f"c{k:02d}": Relation([(f"z{k}", "0"), (f"w{k}", "0")]) for k in range(n)})
-        calls = []
-        count_calls(monkeypatch, calls, sincov.atlas, "_rows", "transition")
-        report = check_at_axioms(atlas)
-        monkeypatch.undo()
-        assert calls == ["transition"] * n
+        report, calls, examined = examined_by_check_at_axioms(monkeypatch, atlas)
+        assert calls == []
+        rows = touching(atlas, set(atlas.charts))
+        assert len(rows) == n
+        assert examined == [pairs for pairs in rows for _ in range(2)]
         assert report == oracle_at_axioms(atlas)
         assert len(report["at2"]["witnesses"]) == n
 
-    def test_only_transitions_touching_the_bad_chart_are_examined(self, monkeypatch):
-        atlas = big_atlas(random.Random(43), bad="i07")
-        charts = list(atlas.charts.values())
-        examined = []
-
-        def recorded(fn):
-            def wrapper(self):
-                if not any(self is chart for chart in charts):
-                    examined.append(self.pairs)
-                return fn(self)
-
-            return wrapper
-
-        monkeypatch.setattr(Relation, "is_injective", recorded(Relation.is_injective))
-        monkeypatch.setattr(Relation, "is_coinjective", recorded(Relation.is_coinjective))
-        report = check_at_axioms(atlas)
-        monkeypatch.undo()
-
-        touching = [
-            transition(atlas, alpha, beta).pairs
-            for alpha in sorted(atlas.indices)
-            for beta in sorted(atlas.indices)
-            if "i07" in (alpha, beta) and transition(atlas, alpha, beta)
-        ]
-        assert len(touching) == 2 * 24 - 1
-        assert examined == [pairs for pairs in touching for _ in range(2)]
-        assert report == oracle_at_axioms(atlas)
-        assert report["at3"]["witnesses"]
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    def test_one_big_bad_chart_reads_each_chart_a_bounded_number_of_times(self, monkeypatch, n):
+        # validate_atlas reads each chart twice, and twice more to name a
+        # bad chart's least conflicting pair; listing the points of the bad
+        # chart and their holders reads the bad chart twice, the others once.
+        atlas = big_bad_chart(n)
+        counted = Atlas({i: Relation._of(CountedPairs(c.pairs)) for i, c in atlas.charts.items()})
+        CountedPairs.reads.clear()
+        report, calls, examined = examined_by_check_at_axioms(monkeypatch, counted)
+        assert len(CountedPairs.reads) == n + 1 and max(CountedPairs.reads.values()) <= 6
+        assert calls == []
+        assert len(examined) == 2 * (2 * n + 1)
+        assert len(report["at3"]["witnesses"]) == 3
+        if n <= 100:
+            assert examined == [pairs for pairs in touching(atlas, {"big"}) for _ in range(2)]
+            assert report == oracle_at_axioms(atlas)

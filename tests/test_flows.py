@@ -195,21 +195,22 @@ class TestFlowEval:
         assert back == (b if spec.kind is FlowKind.PERMUTATION else Fraction(b))
 
 
-class TestBlowupAgainstNumericIntegration:
-    def test_matches_solve_ivp(self):
-        scipy_integrate = pytest.importorskip("scipy.integrate")
-        for x0, t_end in [(F(1), F(1, 2)), (F(-1), F(1)), (F(1, 3), F(2)), (F(2), F(1, 4))]:
-            solution = scipy_integrate.solve_ivp(
-                lambda _, y: y * y,
-                (0.0, float(t_end)),
-                [float(x0)],
-                rtol=1e-10,
-                atol=1e-12,
-                dense_output=True,
-            )
-            exact = flow_eval(FlowSpec.blowup(), t_end, 0, x0)
-            numeric = solution.sol(float(t_end))[0]
-            assert abs(float(exact) - numeric) < 1e-6
+class TestBlowupClosedForm:
+    def test_solves_x_squared_exactly(self):
+        # F(tau) = a / (1 - a (tau - alpha)) has F(alpha) = a, and for every
+        # step h, (F(t + h) - F(t)) / h = F(t) F(t + h) exactly, so the
+        # quotient misses F(t)^2 by |h| F(t)^2 |F(t + h)|: F' = F^2.
+        blowup = FlowSpec.blowup()
+        for a, t_end in [(F(1), F(1, 2)), (F(-1), F(1)), (F(1, 3), F(2)), (F(2), F(1, 4))]:
+            for alpha in (F(0), F(-5, 3)):
+                assert flow_eval(blowup, alpha, alpha, a) == a
+                for t in (alpha, alpha + t_end / 3, alpha + t_end):
+                    now, gaps = flow_eval(blowup, t, alpha, a), []
+                    for h in [-t_end / 7] + [t_end / 10**k for k in range(1, 10)]:
+                        later = flow_eval(blowup, t + h, alpha, a)
+                        assert (later - now) / h == now * later
+                        gaps.append(abs((later - now) / h - now**2))
+                    assert gaps[1:] == sorted(gaps[1:], reverse=True) and gaps[-1] < F(1, 10**6)
 
 
 def blowup_grid_system():

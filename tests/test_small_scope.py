@@ -11,7 +11,7 @@ from collections import Counter
 from itertools import chain, combinations, permutations, product
 
 from genutil import atlas_of, oracle_at_axioms, oracle_find_isomorphism
-from sincov import NotIsomorphic, check_at_axioms, find_isomorphism
+from sincov import NotIsomorphic, check_at_axioms, find_isomorphism, reconstruct
 
 CELLS = list(product(["z0", "z1"], ["0", "1"]))
 CHARTS = [list(c) for c in chain.from_iterable(combinations(CELLS, k) for k in range(5))]
@@ -59,13 +59,17 @@ def test_isomorphism_equals_the_two_pass_loop_and_brute_force_on_every_pair():
             return (exc.reason, exc.indices, exc.pair, exc.present_in)
 
     atlases = [{"a": c1, "b": c2} for c1, c2 in product(VALID_CHARTS, repeat=2)]
+    built = [(charts, atlas_of(charts)) for charts in atlases]
+    built = [(charts, atlas, reconstruct(atlas)) for charts, atlas in built]
     kinds = Counter()
-    for charts1, charts2 in product(atlases, repeat=2):
-        a1, a2 = atlas_of(charts1), atlas_of(charts2)
+    for (charts1, a1, system1), (charts2, a2, system2) in product(built, repeat=2):
         result = outcome(find_isomorphism, a1, a2)
         assert result == outcome(oracle_find_isomorphism, a1, a2)
         isomorphic = isinstance(result, dict)
         assert brute_force_omegas(charts1, charts2) == ([result] if isomorphic else [])
+        # The theorem's second half: an isomorphism exists iff the two
+        # atlases generate the same transition family.
+        assert isomorphic == (system1 == system2)
         kinds["isomorphic" if isomorphic else result[0]] += 1
     assert len(atlases) == 49
     assert kinds == {
